@@ -6,7 +6,7 @@ use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-use ivdss_core::search::{exhaustive_search, ScatterGatherSearch};
+use ivdss_core::search::{exhaustive_search, ScatterGatherSearch, SearchOpts};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -62,7 +62,7 @@ fn bench_search(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         ScatterGatherSearch::new()
-                            .search(black_box(&ctx), black_box(&request))
+                            .search(black_box(&ctx), black_box(&request), SearchOpts::default())
                             .unwrap(),
                     )
                 });

@@ -11,7 +11,7 @@ use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_catalog::Catalog;
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
 use ivdss_core::planner::{IvqpPlanner, Planner};
-use ivdss_core::search::{exhaustive_search, ScatterGatherSearch};
+use ivdss_core::search::{exhaustive_search, ScatterGatherSearch, SearchOpts};
 use ivdss_core::starvation::AgingPolicy;
 use ivdss_core::value::{BusinessValue, DiscountRates};
 use ivdss_costmodel::model::{AnalyticCostModel, CostModel, StylizedCostModel};
@@ -71,7 +71,7 @@ fn ablate_pruning() {
             SimTime::new(11.0),
         );
         let sg = ScatterGatherSearch::new()
-            .search(&ctx, &request)
+            .search(&ctx, &request, SearchOpts::default())
             .expect("search succeeds");
         let ex = exhaustive_search(&ctx, &request, 128).expect("oracle succeeds");
         assert!(

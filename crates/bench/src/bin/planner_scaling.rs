@@ -4,8 +4,8 @@
 //!
 //! The measured configurations are the cross product of
 //! `threads × fan-out`; the baseline is a plain
-//! [`ScatterGatherSearch::search_from`] loop over the same batch (no
-//! pool, no memo). On a single-core host the speedup comes from the
+//! [`ScatterGatherSearch::search`] loop over the same batch (no pool,
+//! no memo). On a single-core host the speedup comes from the
 //! sync-phase memo (queries at equal phase offsets reuse each other's
 //! pruned frontiers); on multi-core hosts the pool adds query-level
 //! parallelism on top. `host_parallelism` is recorded in the JSON so a
@@ -16,8 +16,8 @@
 //! * `repair_vs_rescan` — a [`ReplanCache`] warmed at admission time is
 //!   invalidated by an advance-notice sync slip (revealed long before
 //!   the slipped completion), then every queued query is re-planned
-//!   through [`ScatterGatherSearch::search_from_repaired`] vs. a cold
-//!   `search_from` rescan over the revised timelines. Outcomes are
+//!   through a search given the cache in [`SearchOpts::repair`] vs. a
+//!   cold rescan over the revised timelines. Outcomes are
 //!   asserted bit-identical; only the wall clock differs.
 //! * `arena_vs_boxed` — the arena/SoA search vs.
 //!   [`ScatterGatherSearch::reference_search_boxed`], the per-candidate
@@ -27,7 +27,6 @@
 //! `BENCH_planner.json` in the current directory).
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use ivdss_catalog::ids::TableId;
@@ -35,10 +34,10 @@ use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_catalog::Catalog;
 use ivdss_core::memo::PhaseMemo;
-use ivdss_core::parallel::{ParallelPlanner, PlannerPool};
-use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
+use ivdss_core::parallel::PlannerPool;
+use ivdss_core::plan::{NoQueues, PlanContext, PlanError, QueryRequest};
 use ivdss_core::repair::ReplanCache;
-use ivdss_core::search::ScatterGatherSearch;
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -156,7 +155,7 @@ fn main() {
                 .iter()
                 .map(|r| {
                     search
-                        .search_from(&ctx, r, r.submitted_at)
+                        .search(&ctx, r, SearchOpts::default())
                         .expect("baseline search succeeds")
                         .best
                 })
@@ -166,14 +165,22 @@ fn main() {
         let baseline_ms = median_ms(&mut base_samples);
 
         for &n in threads {
-            let planner = ParallelPlanner::with_search(search, Arc::new(PlannerPool::new(n)));
+            // Query-level fan-out: one memoized search per query, each
+            // running sequentially on its worker.
+            let pool = PlannerPool::new(n);
             let mut samples = Vec::with_capacity(repeats);
             let mut plans = Vec::new();
             for _ in 0..repeats {
                 let memo = PhaseMemo::new(); // cold memo every repeat
                 let start = Instant::now();
-                plans = planner
-                    .plan_batch_memoized(&ctx, &requests, &memo)
+                plans = pool
+                    .try_run_indexed(requests.len(), |i| {
+                        let opts = SearchOpts {
+                            memo: Some(&memo),
+                            ..SearchOpts::default()
+                        };
+                        Ok::<_, PlanError>(search.search(&ctx, &requests[i], opts)?.best)
+                    })
                     .expect("pooled search succeeds");
                 samples.push(start.elapsed().as_secs_f64() * 1e3);
             }
@@ -249,8 +256,12 @@ fn main() {
         // way a serving engine plans queries as they arrive.
         let cache = ReplanCache::new();
         for r in &repair_requests {
+            let opts = SearchOpts {
+                repair: Some(&cache),
+                ..SearchOpts::default()
+            };
             search
-                .search_from_repaired(&repair_ctx, r, r.submitted_at, &cache)
+                .search(&repair_ctx, r, opts)
                 .expect("warm search succeeds");
         }
         cache.invalidate_revision(&revision);
@@ -259,8 +270,13 @@ fn main() {
         let repaired: Vec<_> = repair_requests
             .iter()
             .map(|r| {
+                let opts = SearchOpts {
+                    not_before: Some(revealed_at),
+                    repair: Some(&cache),
+                    ..SearchOpts::default()
+                };
                 search
-                    .search_from_repaired(&revised_ctx, r, r.submitted_at.max(revealed_at), &cache)
+                    .search(&revised_ctx, r, opts)
                     .expect("repaired search succeeds")
             })
             .collect();
@@ -270,8 +286,12 @@ fn main() {
         let rescanned: Vec<_> = repair_requests
             .iter()
             .map(|r| {
+                let opts = SearchOpts {
+                    not_before: Some(revealed_at),
+                    ..SearchOpts::default()
+                };
                 search
-                    .search_from(&revised_ctx, r, r.submitted_at.max(revealed_at))
+                    .search(&revised_ctx, r, opts)
                     .expect("rescan search succeeds")
             })
             .collect();
@@ -304,7 +324,7 @@ fn main() {
             .iter()
             .map(|r| {
                 search
-                    .search_from(&ctx, r, r.submitted_at)
+                    .search(&ctx, r, SearchOpts::default())
                     .expect("arena search succeeds")
             })
             .collect();
@@ -351,7 +371,7 @@ fn main() {
     let _ = writeln!(json, "  \"replicated\": {replicated},");
     let _ = writeln!(json, "  \"repeats\": {repeats},");
     json.push_str(
-        "  \"baseline\": \"plain sequential ScatterGatherSearch::search_from, no pool, no memo\",\n",
+        "  \"baseline\": \"plain sequential ScatterGatherSearch::search, no pool, no memo\",\n",
     );
     json.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {

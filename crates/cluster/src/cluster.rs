@@ -47,7 +47,7 @@ use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::ShardId;
 use ivdss_core::memo::PhaseMemo;
 use ivdss_core::plan::{NoQueues, PlanContext, PlanError, QueryRequest};
-use ivdss_core::search::ScatterGatherSearch;
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::CostModel;
 use ivdss_costmodel::query::QueryId;
@@ -617,13 +617,27 @@ impl<'a, C: Clock + Clone> Cluster<'a, C> {
             let stay_at = now + self.engines[victim_idx].backlog();
             let stay_iv = self
                 .search
-                .search_from(&self.plan_ctx(victim_idx), &candidate, stay_at)?
+                .search(
+                    &self.plan_ctx(victim_idx),
+                    &candidate,
+                    SearchOpts {
+                        not_before: Some(stay_at),
+                        ..SearchOpts::default()
+                    },
+                )?
                 .best
                 .information_value
                 .value();
             let move_iv = self
                 .search
-                .search_from(&self.plan_ctx(thief_idx), &candidate, now)?
+                .search(
+                    &self.plan_ctx(thief_idx),
+                    &candidate,
+                    SearchOpts {
+                        not_before: Some(now),
+                        ..SearchOpts::default()
+                    },
+                )?
                 .best
                 .information_value
                 .value();

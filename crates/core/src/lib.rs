@@ -18,13 +18,14 @@
 //! * [`plan`] — candidate plans *(release time, local tables)* and their
 //!   full evaluation against catalog, timelines, cost model and queues;
 //! * [`search`] — the bounded scatter-and-gather optimal plan search of
-//!   §3.1 plus an exhaustive oracle;
+//!   §3.1 behind one entry point, [`search::ScatterGatherSearch::search`],
+//!   whose [`search::SearchOpts`] switch on the pool, memo, repair cache
+//!   and observability layers; plus an exhaustive oracle;
 //! * [`planner`] — [`planner::IvqpPlanner`] and the paper's two baselines,
 //!   [`planner::FederationPlanner`] and [`planner::WarehousePlanner`];
-//! * [`parallel`] — [`parallel::PlannerPool`] and the
-//!   [`parallel::ParallelPlanner`], which fan candidate evaluation out
-//!   over threads while choosing plans bit-identical to the sequential
-//!   search;
+//! * [`parallel`] — [`parallel::PlannerPool`], the deterministic
+//!   fork-join pool a search fans candidate evaluation out over while
+//!   choosing plans bit-identical to the sequential search;
 //! * [`memo`] — [`memo::PhaseMemo`], memoized dominance-pruning frontiers
 //!   keyed by sync phase so repeated scatter points reuse pruned state,
 //!   sharded so one memo serves a whole cluster of engines;
@@ -103,7 +104,7 @@ pub use advisor::{AdvisorStep, PlacementAdvisor, Recommendation};
 pub use frontier::{dominates, BoxedFrontier, FrontierArena, FrontierEntry};
 pub use latency::Latencies;
 pub use memo::{MemoStats, PhaseKey, PhaseMemo};
-pub use parallel::{ParallelPlanner, PlannerPool};
+pub use parallel::PlannerPool;
 pub use plan::{
     evaluate_plan, CandidateScore, FacilityQueues, NoQueues, PlanContext, PlanError,
     PlanEvaluation, QueryRequest, QueueEstimator, SiteFloors, SubsetArena,
@@ -112,7 +113,7 @@ pub use planner::{FederationPlanner, IvqpPlanner, Planner, WarehousePlanner};
 pub use repair::{RepairSession, ReplanCache, ReplanStats};
 pub use search::{
     exhaustive_search, is_better, is_better_score, local_subsets, replicated_footprint,
-    ScatterGatherSearch, SearchOutcome,
+    ScatterGatherSearch, SearchOpts, SearchOutcome,
 };
 pub use starvation::AgingPolicy;
 pub use value::{BusinessValue, DiscountRate, DiscountRates, InformationValue};

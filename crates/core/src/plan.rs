@@ -909,7 +909,7 @@ mod tests {
 
     #[test]
     fn search_degrades_to_replica_only_under_remote_outage() {
-        use crate::search::ScatterGatherSearch;
+        use crate::search::{ScatterGatherSearch, SearchOpts};
         let (catalog, timelines) = fixture();
         let model = StylizedCostModel::paper_fig4();
         let req = QueryRequest::new(
@@ -919,7 +919,9 @@ mod tests {
         let search = ScatterGatherSearch::new();
 
         let nominal_ctx = ctx(&catalog, &timelines, &model, &NoQueues);
-        let nominal = search.search(&nominal_ctx, &req).unwrap();
+        let nominal = search
+            .search(&nominal_ctx, &req, SearchOpts::default())
+            .unwrap();
 
         // Every site hosting the footprint is down for a long time.
         let floors: std::collections::BTreeMap<SiteId, SimTime> = catalog
@@ -929,7 +931,9 @@ mod tests {
             .collect();
         let floored = SiteFloors::new(&NoQueues, floors);
         let degraded_ctx = ctx(&catalog, &timelines, &model, &floored);
-        let degraded = search.search(&degraded_ctx, &req).unwrap();
+        let degraded = search
+            .search(&degraded_ctx, &req, SearchOpts::default())
+            .unwrap();
 
         // The planner steers to the replica-only plan instead of stalling
         // on the outage, and the degraded IV never beats the nominal one.

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use ivdss_simkernel::time::SimTime;
 
 use crate::plan::{evaluate_plan, PlanContext, PlanError, PlanEvaluation, QueryRequest};
-use crate::search::{ScatterGatherSearch, SearchOutcome};
+use crate::search::{ScatterGatherSearch, SearchOpts};
 
 /// Selects an execution plan for a query under a given context.
 pub trait Planner {
@@ -111,26 +111,6 @@ impl IvqpPlanner {
     pub fn new() -> Self {
         IvqpPlanner::default()
     }
-
-    /// Creates an IVQP planner with a custom search.
-    #[must_use]
-    pub fn with_search(search: ScatterGatherSearch) -> Self {
-        IvqpPlanner { search }
-    }
-
-    /// Like [`Planner::select_plan`] but returning the full
-    /// [`SearchOutcome`] including exploration counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from the search.
-    pub fn search(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search.search(ctx, request)
-    }
 }
 
 impl Planner for IvqpPlanner {
@@ -143,7 +123,10 @@ impl Planner for IvqpPlanner {
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
     ) -> Result<PlanEvaluation, PlanError> {
-        Ok(self.search.search(ctx, request)?.best)
+        Ok(self
+            .search
+            .search(ctx, request, SearchOpts::default())?
+            .best)
     }
 
     fn select_plan_from(
@@ -152,7 +135,11 @@ impl Planner for IvqpPlanner {
         request: &QueryRequest,
         not_before: SimTime,
     ) -> Result<PlanEvaluation, PlanError> {
-        Ok(self.search.search_from(ctx, request, not_before)?.best)
+        let opts = SearchOpts {
+            not_before: Some(not_before),
+            ..SearchOpts::default()
+        };
+        Ok(self.search.search(ctx, request, opts)?.best)
     }
 }
 
@@ -381,20 +368,5 @@ mod tests {
             let eval = p.select_plan(&ctx, &request(&[0, 1])).unwrap();
             assert!(eval.information_value.value() > 0.0, "{}", p.name());
         }
-    }
-
-    #[test]
-    fn ivqp_search_exposes_counters() {
-        let (catalog, timelines) = fixture(&[0, 1]);
-        let model = StylizedCostModel::paper_fig4();
-        let ctx = PlanContext {
-            catalog: &catalog,
-            timelines: &timelines,
-            model: &model,
-            rates: DiscountRates::paper_fig4(),
-            queues: &NoQueues,
-        };
-        let outcome = IvqpPlanner::new().search(&ctx, &request(&[0, 1])).unwrap();
-        assert!(outcome.plans_explored >= 4);
     }
 }

@@ -18,8 +18,9 @@
 //! * **Per-candidate scores** — it keeps, per query, the scores of
 //!   every `(execute_at, mask)` candidate the search has already
 //!   computed, and [`ReplanCache::invalidate`] drops only the scores at
-//!   or past a revision's dirty floor. The repaired search
-//!   ([`ScatterGatherSearch::search_from_repaired`]) consults the cache
+//!   or past a revision's dirty floor. The repaired search (a
+//!   [`ScatterGatherSearch::search`] given the cache in
+//!   [`SearchOpts::repair`]) consults the cache
 //!   *below* the search algorithm — wave enumeration, boundary
 //!   tightening, memo probes, effort counters and emitted events are
 //!   all unchanged; only the floating-point evaluation of an unchanged
@@ -55,7 +56,8 @@
 //!
 //! [`TimelineRevision`]: ivdss_replication::events::TimelineRevision
 //! [`CandidateScore`]: crate::plan::CandidateScore
-//! [`ScatterGatherSearch::search_from_repaired`]: crate::search::ScatterGatherSearch::search_from_repaired
+//! [`ScatterGatherSearch::search`]: crate::search::ScatterGatherSearch::search
+//! [`SearchOpts::repair`]: crate::search::SearchOpts::repair
 //! [`PhaseMemo`]: crate::memo::PhaseMemo
 //! [`NoQueues`]: crate::plan::NoQueues
 //!
@@ -655,7 +657,7 @@ mod tests {
 
     #[test]
     fn outcome_card_gates_on_the_scan_horizon() {
-        use crate::search::ScatterGatherSearch;
+        use crate::search::{ScatterGatherSearch, SearchOpts};
 
         let (catalog, timelines) = fixture();
         let model = StylizedCostModel::paper_fig4();
@@ -672,27 +674,25 @@ mod tests {
         );
         let search = ScatterGatherSearch::new();
         let cache = ReplanCache::new();
-        let scratch = search.search_from(&ctx, &req, req.submitted_at).unwrap();
-        let cold = search
-            .search_from_repaired(&ctx, &req, req.submitted_at, &cache)
-            .unwrap();
+        let repaired = || SearchOpts {
+            repair: Some(&cache),
+            ..SearchOpts::default()
+        };
+        let scratch = search.search(&ctx, &req, SearchOpts::default()).unwrap();
+        let cold = search.search(&ctx, &req, repaired()).unwrap();
         assert_eq!(cold, scratch, "cold repaired run matches from-scratch");
 
         // A dirty floor far past anything the search looked at leaves
         // the card alive: the identical re-plan is answered whole.
         cache.invalidate(t(0), SimTime::new(1.0e9));
-        let warm = search
-            .search_from_repaired(&ctx, &req, req.submitted_at, &cache)
-            .unwrap();
+        let warm = search.search(&ctx, &req, repaired()).unwrap();
         assert_eq!(warm, scratch, "outcome reuse matches from-scratch");
         assert_eq!(cache.stats().outcome_hits, 1);
 
         // A floor at or below the horizon retires the card: the next
         // re-plan walks the waves again (and re-records).
         cache.invalidate(t(0), SimTime::ZERO);
-        let after = search
-            .search_from_repaired(&ctx, &req, req.submitted_at, &cache)
-            .unwrap();
+        let after = search.search(&ctx, &req, repaired()).unwrap();
         assert_eq!(after, scratch, "post-invalidation re-plan matches");
         assert_eq!(
             cache.stats().outcome_hits,

@@ -75,6 +75,81 @@ pub struct SearchOutcome {
     pub boundary: SimTime,
 }
 
+/// Per-call options of [`ScatterGatherSearch::search`]. Every field
+/// defaults to "off", so `SearchOpts::default()` is the plain sequential
+/// search. Passed by value because `audit` is a mutable borrow.
+///
+/// # Examples
+///
+/// ```
+/// use ivdss_catalog::ids::TableId;
+/// use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
+/// use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
+/// use ivdss_core::parallel::PlannerPool;
+/// use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
+/// use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
+/// use ivdss_core::value::DiscountRates;
+/// use ivdss_costmodel::model::StylizedCostModel;
+/// use ivdss_costmodel::query::{QueryId, QuerySpec};
+/// use ivdss_replication::timelines::{SyncMode, SyncTimelines};
+/// use ivdss_simkernel::time::SimTime;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let base = synthetic_catalog(&SyntheticConfig {
+///     tables: 4, sites: 2, replicated_tables: 0, ..SyntheticConfig::default()
+/// })?;
+/// let mut plan = ReplicationPlan::new();
+/// plan.add(TableId::new(0), ReplicaSpec::new(8.0));
+/// plan.add(TableId::new(1), ReplicaSpec::new(2.0));
+/// let catalog = base.with_replication(plan)?;
+/// let timelines = SyncTimelines::from_plan(catalog.replication(), SyncMode::Deterministic);
+/// let model = StylizedCostModel::paper_fig4();
+/// let ctx = PlanContext {
+///     catalog: &catalog,
+///     timelines: &timelines,
+///     model: &model,
+///     rates: DiscountRates::new(0.01, 0.05),
+///     queues: &NoQueues,
+/// };
+/// let request = QueryRequest::new(
+///     QuerySpec::new(QueryId::new(1), vec![TableId::new(0), TableId::new(1)]),
+///     SimTime::new(11.0),
+/// );
+///
+/// let search = ScatterGatherSearch::new();
+/// let pool = PlannerPool::new(4);
+/// let parallel = search.search(&ctx, &request, SearchOpts {
+///     pool: Some(&pool),
+///     ..SearchOpts::default()
+/// })?;
+/// // Outcome-identical to the sequential search, bit for bit.
+/// assert_eq!(parallel, search.search(&ctx, &request, SearchOpts::default())?);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Default)]
+pub struct SearchOpts<'a> {
+    /// No candidate plan may be released before this instant; `None`
+    /// means the request's submission time. Schedulers that re-plan a
+    /// queued query at dispatch time set it to the current clock
+    /// (releasing into the past would violate causality). Latencies are
+    /// still measured from the true submission time.
+    pub not_before: Option<SimTime>,
+    /// Pool the candidate scoring fans out over; `None` runs
+    /// sequentially.
+    pub pool: Option<&'a PlannerPool>,
+    /// Sync-phase pruning frontiers to consult and feed.
+    pub memo: Option<&'a PhaseMemo>,
+    /// Candidate scores of earlier searches of this query to reuse
+    /// (incremental re-planning, see [`crate::repair`]).
+    pub repair: Option<&'a ReplanCache>,
+    /// Receives the search events (start, per-wave effort, bound
+    /// trajectory, finish); `None` disables them.
+    pub tracer: Option<&'a Tracer>,
+    /// Accumulates the full candidate and bound record.
+    pub audit: Option<&'a mut SearchAudit>,
+}
+
 /// The bounded scatter-and-gather search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScatterGatherSearch {
@@ -107,7 +182,22 @@ impl ScatterGatherSearch {
         ScatterGatherSearch { max_sync_points }
     }
 
-    /// Finds the plan maximizing the information value of `request`.
+    /// Finds the plan maximizing the information value of `request` —
+    /// the one entry point of the paper's search. `opts` sets the
+    /// release floor and switches on the optional layers (pool, memo,
+    /// repair cache, tracer, audit); [`SearchOpts::default`] is the
+    /// plain sequential search released no earlier than submission.
+    ///
+    /// Without a memo and with no pool (or a 1-thread one) the
+    /// sequential core runs; otherwise the speculative core fans
+    /// candidate scoring out over the pool. The pool, the repair cache
+    /// and observability never change the outcome: plan, counters and
+    /// boundary are bit-identical to the plain search. A memo keeps the
+    /// plan, the boundary and the sync points visited, but may shrink
+    /// `plans_explored`. Memo and repair cache are only sound under a
+    /// *stateless* queue estimator (see [`PhaseMemo`] and
+    /// [`crate::repair`]); leave both `None` when the context carries
+    /// live queue state or site floors.
     ///
     /// # Errors
     ///
@@ -118,95 +208,20 @@ impl ScatterGatherSearch {
         &self,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
+        opts: SearchOpts<'_>,
     ) -> Result<SearchOutcome, PlanError> {
-        self.search_from(ctx, request, request.submitted_at)
+        if opts.pool.is_none_or(PlannerPool::is_sequential) && opts.memo.is_none() {
+            Ok(self.sequential(ctx, request, opts))
+        } else {
+            Ok(self.speculative(ctx, request, opts))
+        }
     }
 
-    /// Like [`ScatterGatherSearch::search`], but no candidate plan may be
-    /// released before `not_before` — used by schedulers that re-plan a
-    /// queued query at dispatch time (the clock has moved past its
-    /// submission, and releasing into the past would violate causality).
-    ///
-    /// Latencies are still measured from the query's true submission time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search_from_repaired_observed(
-            ctx,
-            request,
-            not_before,
-            None,
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// [`ScatterGatherSearch::search_from`] with incremental re-planning:
-    /// candidate scores a previous search of this query left in `repair`
-    /// are reused verbatim instead of recomputed. The outcome — plan,
-    /// counters, boundary — is bit-identical to a from-scratch
-    /// [`ScatterGatherSearch::search_from`]; only wall-clock effort
-    /// shrinks. Sound only under a stateless queue estimator and a cache
-    /// that has seen every timeline revision (see [`crate::repair`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from_repaired(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        repair: &ReplanCache,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search_from_repaired_observed(
-            ctx,
-            request,
-            not_before,
-            Some(repair),
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// [`ScatterGatherSearch::search_from`] with observability: search
-    /// events (start, per-wave effort, bound trajectory, finish) go to
-    /// `tracer`, and the full candidate/bound record accumulates into
-    /// `audit` when one is supplied. A disabled tracer and `None` audit
-    /// cost one branch per would-be emission, and instrumentation never
-    /// changes the outcome — this *is* the sequential search.
-    ///
-    /// All events are stamped at the release floor (the planning
-    /// instant); wave and bound payloads carry the candidate release
-    /// times they describe.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from_observed(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        tracer: &Tracer,
-        audit: Option<&mut SearchAudit>,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search_from_repaired_observed(ctx, request, not_before, None, tracer, audit)
-    }
-
-    /// The sequential search core:
-    /// [`ScatterGatherSearch::search_from_observed`] plus an optional
-    /// [`ReplanCache`]. The cache sits strictly below the algorithm —
-    /// every wave, candidate, counter and event is produced exactly as
-    /// without it; a cached candidate merely skips the scoring kernel —
-    /// so enabling repair cannot change outcome bits or trace bytes.
+    /// The sequential search core. An optional [`ReplanCache`] sits
+    /// strictly below the algorithm — every wave, candidate, counter and
+    /// event is produced exactly as without it; a cached candidate
+    /// merely skips the scoring kernel — so enabling repair cannot
+    /// change outcome bits or trace bytes.
     ///
     /// One exception trades observability for speed without touching
     /// the bits: when the tracer is disabled and no audit is attached,
@@ -217,20 +232,27 @@ impl ScatterGatherSearch {
     /// suite pins exactly this). Observed searches always take the full
     /// walk, keeping their event streams byte-stable.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from_repaired_observed(
+    /// All events are stamped at the release floor (the planning
+    /// instant); wave and bound payloads carry the candidate release
+    /// times they describe. A disabled tracer and `None` audit cost one
+    /// branch per would-be emission.
+    fn sequential(
         &self,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
-        not_before: SimTime,
-        repair: Option<&ReplanCache>,
-        tracer: &Tracer,
-        mut audit: Option<&mut SearchAudit>,
-    ) -> Result<SearchOutcome, PlanError> {
+        opts: SearchOpts<'_>,
+    ) -> SearchOutcome {
+        let SearchOpts {
+            not_before,
+            repair,
+            tracer,
+            mut audit,
+            ..
+        } = opts;
+        let disabled = Tracer::disabled();
+        let tracer = tracer.unwrap_or(&disabled);
         let query = request.id();
-        let submit = request.submitted_at.max(not_before);
+        let submit = release_floor(request, not_before);
         let replicated = replicated_footprint(ctx, request);
         let mut session = repair.map(|cache| cache.begin(ctx, request, &replicated));
 
@@ -248,14 +270,14 @@ impl ScatterGatherSearch {
                 if let Some(s) = session.take() {
                     s.finish();
                 }
-                return Ok(SearchOutcome {
+                return SearchOutcome {
                     best: card
                         .best
                         .into_evaluation(query, card.local_tables.iter().copied().collect()),
                     plans_explored: card.plans_explored,
                     sync_points_visited: card.sync_points_visited,
                     boundary: card.boundary,
-                });
+                };
             }
         }
 
@@ -370,21 +392,16 @@ impl ScatterGatherSearch {
             session.finish();
         }
 
-        Ok(SearchOutcome {
+        SearchOutcome {
             best: arena.evaluation(request, best_mask, best),
             plans_explored: explored,
             sync_points_visited: visited,
             boundary,
-        })
+        }
     }
 
-    /// Parallel, optionally memoized variant of
-    /// [`ScatterGatherSearch::search_from`]. The returned outcome is
-    /// **bit-identical** to the sequential search; with a memo the effort
-    /// counters (`plans_explored`, and hence what a pruning ablation
-    /// measures) shrink but the chosen plan and boundary do not change.
-    ///
-    /// The strategy is *speculative but exact*:
+    /// The speculative search core: parallel, optionally memoized, and
+    /// *speculative but exact*:
     ///
     /// 1. scatter — every local subset (or the memoized frontier for this
     ///    phase) is evaluated at the release time in one parallel region;
@@ -397,89 +414,31 @@ impl ScatterGatherSearch {
     ///    incumbent/boundary trajectory — including every tie-break of
     ///    [`is_better`] — is reproduced.
     ///
-    /// `memo` is only sound under a *stateless* queue estimator (see
-    /// [`PhaseMemo`]); pass `None` when the context carries live queue
-    /// state or site floors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    pub fn search_from_with(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        pool: &PlannerPool,
-        memo: Option<&PhaseMemo>,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search_from_with_repaired_observed(
-            ctx,
-            request,
-            not_before,
-            pool,
-            memo,
-            None,
-            &Tracer::disabled(),
-            None,
-        )
-    }
-
-    /// [`ScatterGatherSearch::search_from_with`] with observability.
     /// Events are emitted only from the sequential replay phase (never
     /// from inside the parallel regions), so the emission order — and
     /// hence the rendered trace — is a pure function of the inputs, and
     /// the trace reports exactly the waves/candidates the sequential
     /// decision consumed, not the speculative superset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation, in sequential
-    /// order as [`ScatterGatherSearch::search_from_with`] does.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_from_with_observed(
-        &self,
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-        not_before: SimTime,
-        pool: &PlannerPool,
-        memo: Option<&PhaseMemo>,
-        tracer: &Tracer,
-        audit: Option<&mut SearchAudit>,
-    ) -> Result<SearchOutcome, PlanError> {
-        self.search_from_with_repaired_observed(
-            ctx, request, not_before, pool, memo, None, tracer, audit,
-        )
-    }
-
-    /// The full search entry point: parallel pool, optional [`PhaseMemo`]
-    /// frontiers, optional [`ReplanCache`] incremental repair, and
-    /// observability — each layer individually and jointly bit-identical
-    /// to the plain sequential search. Both caches require a stateless
-    /// queue estimator.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation, in sequential
-    /// order.
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_lines)]
-    pub fn search_from_with_repaired_observed(
+    fn speculative(
         &self,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
-        not_before: SimTime,
-        pool: &PlannerPool,
-        memo: Option<&PhaseMemo>,
-        repair: Option<&ReplanCache>,
-        tracer: &Tracer,
-        mut audit: Option<&mut SearchAudit>,
-    ) -> Result<SearchOutcome, PlanError> {
-        if pool.is_sequential() && memo.is_none() {
-            return self
-                .search_from_repaired_observed(ctx, request, not_before, repair, tracer, audit);
-        }
+        opts: SearchOpts<'_>,
+    ) -> SearchOutcome {
+        let SearchOpts {
+            not_before,
+            pool,
+            memo,
+            repair,
+            tracer,
+            mut audit,
+        } = opts;
+        let pool = pool.cloned().unwrap_or_default();
+        let disabled = Tracer::disabled();
+        let tracer = tracer.unwrap_or(&disabled);
         let query = request.id();
-        let submit = request.submitted_at.max(not_before);
+        let submit = release_floor(request, not_before);
         let replicated = replicated_footprint(ctx, request);
         let arena = SubsetArena::build(ctx, request, &replicated);
         let n_masks = arena.len();
@@ -511,7 +470,7 @@ impl ScatterGatherSearch {
         let mut pruned = n_masks - scatter_masks.len();
         let scatter_tasks: Vec<(SimTime, usize)> =
             scatter_masks.iter().map(|&m| (submit, m)).collect();
-        let scatter_evals = score_tasks(pool, &mut session, &arena, ctx, request, &scatter_tasks);
+        let scatter_evals = score_tasks(&pool, &mut session, &arena, ctx, request, &scatter_tasks);
         let mut explored = scatter_evals.len();
         tracer.emit_with(submit, || EventKind::SearchWave {
             query,
@@ -596,7 +555,7 @@ impl ScatterGatherSearch {
                 masks.iter().map(move |&m| (at, m))
             })
             .collect();
-        let evals = score_tasks(pool, &mut session, &arena, ctx, request, &tasks);
+        let evals = score_tasks(&pool, &mut session, &arena, ctx, request, &tasks);
 
         // Record frontiers of the fully evaluated (miss) waves — valid
         // whether or not the replay below reaches them.
@@ -670,12 +629,12 @@ impl ScatterGatherSearch {
             session.finish();
         }
 
-        Ok(SearchOutcome {
+        SearchOutcome {
             best: arena.evaluation(request, best_mask, best),
             plans_explored: explored,
             sync_points_visited: visited,
             boundary,
-        })
+        }
     }
 
     /// The historical per-candidate boxed implementation of the
@@ -757,6 +716,14 @@ impl ScatterGatherSearch {
             None => SimTime::MAX, // λ_CL = 0: no boundary, the cap applies
         }
     }
+}
+
+/// The earliest release time of any candidate: the submission time,
+/// raised to `not_before` when one is given.
+fn release_floor(request: &QueryRequest, not_before: Option<SimTime>) -> SimTime {
+    not_before.map_or(request.submitted_at, |floor| {
+        request.submitted_at.max(floor)
+    })
 }
 
 /// Scores one candidate through the repair session when one is open
@@ -1051,6 +1018,13 @@ mod tests {
         (catalog, timelines)
     }
 
+    /// The default search with no options.
+    fn plain(ctx: &PlanContext<'_>, req: &QueryRequest) -> SearchOutcome {
+        ScatterGatherSearch::new()
+            .search(ctx, req, SearchOpts::default())
+            .unwrap()
+    }
+
     fn ctx<'a>(
         catalog: &'a Catalog,
         timelines: &'a SyncTimelines,
@@ -1076,7 +1050,7 @@ mod tests {
                 QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
                 SimTime::new(11.0),
             );
-            let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+            let sg = plain(&ctx, &req);
             let ex = exhaustive_search(&ctx, &req, 64).unwrap();
             assert!(
                 (sg.best.information_value.value() - ex.best.information_value.value()).abs()
@@ -1100,7 +1074,7 @@ mod tests {
                     QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
                     SimTime::new(submit),
                 );
-                let arena = search.search(&ctx, &req).unwrap();
+                let arena = search.search(&ctx, &req, SearchOpts::default()).unwrap();
                 let boxed = search
                     .reference_search_boxed(&ctx, &req, req.submitted_at)
                     .unwrap();
@@ -1120,15 +1094,15 @@ mod tests {
             SimTime::new(11.0),
         );
         let cache = crate::repair::ReplanCache::new();
-        let scratch = search.search(&ctx, &req).unwrap();
-        let cold = search
-            .search_from_repaired(&ctx, &req, req.submitted_at, &cache)
-            .unwrap();
+        let scratch = search.search(&ctx, &req, SearchOpts::default()).unwrap();
+        let repaired = || SearchOpts {
+            repair: Some(&cache),
+            ..SearchOpts::default()
+        };
+        let cold = search.search(&ctx, &req, repaired()).unwrap();
         assert_eq!(cold, scratch, "cold repaired run matches from-scratch");
         assert_eq!(cache.stats().hits, 0);
-        let warm = search
-            .search_from_repaired(&ctx, &req, req.submitted_at, &cache)
-            .unwrap();
+        let warm = search.search(&ctx, &req, repaired()).unwrap();
         assert_eq!(warm, scratch, "warm repaired run matches from-scratch");
         let stats = cache.stats();
         assert_eq!(
@@ -1144,10 +1118,21 @@ mod tests {
         // gather waves still sit on the shared absolute sync grid, so
         // the per-candidate tier reuses their scores.
         let floor = SimTime::new(12.0);
-        let later = search
-            .search_from_repaired(&ctx, &req, floor, &cache)
+        let floored = SearchOpts {
+            not_before: Some(floor),
+            ..repaired()
+        };
+        let later = search.search(&ctx, &req, floored).unwrap();
+        let later_scratch = search
+            .search(
+                &ctx,
+                &req,
+                SearchOpts {
+                    not_before: Some(floor),
+                    ..SearchOpts::default()
+                },
+            )
             .unwrap();
-        let later_scratch = search.search_from(&ctx, &req, floor).unwrap();
         assert_eq!(later, later_scratch, "floored repaired run matches scratch");
         let stats = cache.stats();
         assert_eq!(stats.outcome_hits, 1, "a new floor must miss the card");
@@ -1163,7 +1148,7 @@ mod tests {
             QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
             SimTime::new(11.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = plain(&ctx, &req);
         let ex = exhaustive_search(&ctx, &req, 64).unwrap();
         assert!(
             sg.plans_explored < ex.plans_explored,
@@ -1184,7 +1169,7 @@ mod tests {
             QuerySpec::new(QueryId::new(0), vec![t(0)]),
             SimTime::new(11.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = plain(&ctx, &req);
         // Best plan should wait for the sync at t = 20 (Fig. 2's insight).
         assert!(
             sg.best.is_delayed(SimTime::new(11.0)),
@@ -1205,7 +1190,7 @@ mod tests {
             QuerySpec::new(QueryId::new(0), vec![t(0)]),
             SimTime::new(11.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = plain(&ctx, &req);
         assert!(!sg.best.is_delayed(SimTime::new(11.0)));
         assert!(sg.best.is_all_local(&req.query));
     }
@@ -1221,7 +1206,7 @@ mod tests {
             QuerySpec::new(QueryId::new(0), vec![t(0)]),
             SimTime::new(50.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = plain(&ctx, &req);
         assert!(sg.best.is_all_remote());
     }
 
@@ -1234,7 +1219,7 @@ mod tests {
             QuerySpec::new(QueryId::new(0), vec![t(3), t(4)]),
             SimTime::new(1.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = plain(&ctx, &req);
         assert_eq!(sg.plans_explored, 1);
         assert!(sg.best.is_all_remote());
         assert_eq!(sg.sync_points_visited, 0);
@@ -1247,7 +1232,7 @@ mod tests {
         let ctx = ctx(&catalog, &timelines, &model, DiscountRates::new(0.0, 0.1));
         let req = QueryRequest::new(QuerySpec::new(QueryId::new(0), vec![t(0)]), SimTime::ZERO);
         let search = ScatterGatherSearch::with_max_sync_points(5);
-        let sg = search.search(&ctx, &req).unwrap();
+        let sg = search.search(&ctx, &req, SearchOpts::default()).unwrap();
         assert!(sg.sync_points_visited <= 5);
     }
 
@@ -1265,9 +1250,16 @@ mod tests {
                         QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
                         SimTime::new(submit),
                     );
-                    let seq = search.search(&ctx, &req).unwrap();
+                    let seq = search.search(&ctx, &req, SearchOpts::default()).unwrap();
                     let par = search
-                        .search_from_with(&ctx, &req, req.submitted_at, &pool, None)
+                        .search(
+                            &ctx,
+                            &req,
+                            SearchOpts {
+                                pool: Some(&pool),
+                                ..SearchOpts::default()
+                            },
+                        )
                         .unwrap();
                     assert_eq!(par, seq, "threads={threads} λcl={lcl} submit={submit}");
                 }
@@ -1293,9 +1285,17 @@ mod tests {
                     QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2)]),
                     SimTime::new(submit),
                 );
-                let seq = search.search(&ctx, &req).unwrap();
+                let seq = search.search(&ctx, &req, SearchOpts::default()).unwrap();
                 let memoized = search
-                    .search_from_with(&ctx, &req, req.submitted_at, &pool, Some(&memo))
+                    .search(
+                        &ctx,
+                        &req,
+                        SearchOpts {
+                            pool: Some(&pool),
+                            memo: Some(&memo),
+                            ..SearchOpts::default()
+                        },
+                    )
                     .unwrap();
                 assert_eq!(memoized.best, seq.best, "submit={submit}");
                 assert_eq!(memoized.boundary, seq.boundary);
@@ -1327,14 +1327,22 @@ mod tests {
             SimTime::new(11.0),
         );
         let search = ScatterGatherSearch::new();
-        let plain = search.search(&ctx, &req).unwrap();
+        let plain = search.search(&ctx, &req, SearchOpts::default()).unwrap();
 
         let run_observed = || {
             let trace = Arc::new(Trace::new());
             let tracer = Tracer::recording(Arc::clone(&trace));
             let mut audit = SearchAudit::default();
             let outcome = search
-                .search_from_observed(&ctx, &req, req.submitted_at, &tracer, Some(&mut audit))
+                .search(
+                    &ctx,
+                    &req,
+                    SearchOpts {
+                        tracer: Some(&tracer),
+                        audit: Some(&mut audit),
+                        ..SearchOpts::default()
+                    },
+                )
                 .unwrap();
             (outcome, trace.render(), audit)
         };
@@ -1349,7 +1357,14 @@ mod tests {
         let counts_trace = Arc::new(Trace::new());
         let tracer = Tracer::recording(Arc::clone(&counts_trace));
         search
-            .search_from_observed(&ctx, &req, req.submitted_at, &tracer, None)
+            .search(
+                &ctx,
+                &req,
+                SearchOpts {
+                    tracer: Some(&tracer),
+                    ..SearchOpts::default()
+                },
+            )
             .unwrap();
         let counts = counts_trace.counts();
         assert_eq!(counts["search_started"], 1);
@@ -1372,13 +1387,15 @@ mod tests {
             let tracer = Tracer::recording(Arc::clone(&trace));
             let mut audit = SearchAudit::default();
             let repaired = search
-                .search_from_repaired_observed(
+                .search(
                     &ctx,
                     &req,
-                    req.submitted_at,
-                    Some(&cache),
-                    &tracer,
-                    Some(&mut audit),
+                    SearchOpts {
+                        repair: Some(&cache),
+                        tracer: Some(&tracer),
+                        audit: Some(&mut audit),
+                        ..SearchOpts::default()
+                    },
                 )
                 .unwrap();
             assert_eq!(repaired, plain, "round={round}");
@@ -1398,14 +1415,15 @@ mod tests {
         for round in 0..2 {
             let mut audit = SearchAudit::default();
             let memoized = search
-                .search_from_with_observed(
+                .search(
                     &ctx,
                     &req,
-                    req.submitted_at,
-                    &pool,
-                    Some(&memo),
-                    &Tracer::disabled(),
-                    Some(&mut audit),
+                    SearchOpts {
+                        pool: Some(&pool),
+                        memo: Some(&memo),
+                        audit: Some(&mut audit),
+                        ..SearchOpts::default()
+                    },
                 )
                 .unwrap();
             assert_eq!(memoized.best, plain.best, "round={round}");
@@ -1428,8 +1446,8 @@ mod tests {
         let small = QueryRequest::new(spec.clone(), SimTime::new(11.0));
         let big = QueryRequest::new(spec, SimTime::new(11.0))
             .with_business_value(BusinessValue::new(10.0));
-        let s = ScatterGatherSearch::new().search(&ctx, &small).unwrap();
-        let b = ScatterGatherSearch::new().search(&ctx, &big).unwrap();
+        let s = plain(&ctx, &small);
+        let b = plain(&ctx, &big);
         assert_eq!(s.best.local_tables, b.best.local_tables);
         assert_eq!(s.best.execute_at, b.best.execute_at);
         assert!(

@@ -13,7 +13,7 @@ use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-use ivdss_core::search::{exhaustive_search, ScatterGatherSearch};
+use ivdss_core::search::{exhaustive_search, ScatterGatherSearch, SearchOpts};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -68,7 +68,7 @@ fn assert_search_matches_oracle(
         queues: &NoQueues,
     };
     let sg = ScatterGatherSearch::with_max_sync_points(SYNC_POINTS)
-        .search(&ctx, request)
+        .search(&ctx, request, SearchOpts::default())
         .expect("scatter-gather is feasible");
     let ex = exhaustive_search(&ctx, request, SYNC_POINTS).expect("oracle is feasible");
     let (sg_iv, ex_iv) = (
@@ -160,7 +160,7 @@ fn optimum(
         queues: &NoQueues,
     };
     ScatterGatherSearch::with_max_sync_points(64)
-        .search(&ctx, request)
+        .search(&ctx, request, SearchOpts::default())
         .expect("search is feasible")
         .best
         .information_value

@@ -1,17 +1,25 @@
-//! Differential test: the pooled parallel planner vs. the sequential
+//! Differential test: the search on a pool, with and without a
+//! [`PhaseMemo`] and a [`ReplanCache`], vs. the plain sequential
 //! scatter-and-gather search, over seeded workloads on both nominal and
-//! fault-revised synchronization timelines.
+//! fault-revised synchronization timelines. Every workload runs on
+//! pools of 1, 2 and 4 threads, each with the memo off and on, each
+//! once without a repair cache and three times with one (cold, then
+//! twice warm).
 //!
 //! Two regimes, with different guarantees:
 //!
-//! * **Parallel, no memo** — the [`SearchOutcome`] must be *bit
-//!   identical* to the sequential search: same plan, same IV, same
-//!   `plans_explored`, `sync_points_visited`, and `boundary`. The pool
-//!   only changes who evaluates a candidate, never which candidates are
-//!   evaluated or how ties break.
-//! * **Parallel + [`PhaseMemo`]** — the chosen plan, the final
-//!   boundary, and the sync points visited must still match exactly;
-//!   only `plans_explored` may shrink (memo hits skip dominated masks).
+//! * **No memo** — the [`SearchOutcome`] must be *bit identical* to the
+//!   sequential search: same plan, same IV, same `plans_explored`,
+//!   `sync_points_visited`, and `boundary`. The pool only changes who
+//!   evaluates a candidate, and the repair cache only skips the scoring
+//!   of a candidate, never which candidates are evaluated or how ties
+//!   break.
+//! * **[`PhaseMemo`]** — the chosen plan, the final boundary, and the
+//!   sync points visited must still match exactly; only
+//!   `plans_explored` may shrink (memo hits skip dominated masks).
+//!
+//! In both regimes a recording tracer renders the same bytes with the
+//! warm repair cache as without it.
 //!
 //! The faulted half runs on [`FaultPlan::degraded_timelines`]: slipped
 //! and dropped syncs yield irregular finite traces, which exercise the
@@ -23,13 +31,15 @@ use ivdss_catalog::ids::TableId;
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::memo::PhaseMemo;
-use ivdss_core::parallel::{ParallelPlanner, PlannerPool};
+use ivdss_core::parallel::PlannerPool;
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-use ivdss_core::search::{ScatterGatherSearch, SearchOutcome};
+use ivdss_core::repair::ReplanCache;
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts, SearchOutcome};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
 use ivdss_faults::{FaultConfig, FaultPlan};
+use ivdss_obs::{Trace, Tracer};
 use ivdss_replication::timelines::{SyncMode, SyncTimelines};
 use ivdss_simkernel::rng::{SeedFactory, Stream, UniformStream};
 use ivdss_simkernel::time::SimTime;
@@ -87,6 +97,7 @@ fn parallel_planner_matches_sequential_over_seeded_workloads() {
     let mut workloads = 0u64;
     let mut degraded_differs = 0u64;
     let mut memo_savings = 0u64;
+    let mut repair_reuses = 0u64;
 
     for seed in 0..SEEDS {
         let seeds = SeedFactory::new(seed ^ 0xA11E);
@@ -131,42 +142,91 @@ fn parallel_planner_matches_sequential_over_seeded_workloads() {
                 );
                 let label = format!("seed {seed} footprint {i}");
                 let sequential = search
-                    .search_from(&ctx, &request, request.submitted_at)
+                    .search(&ctx, &request, SearchOpts::default())
                     .expect("sequential search is feasible");
 
-                for threads in [2usize, 4] {
-                    let planner =
-                        ParallelPlanner::with_search(search, Arc::new(PlannerPool::new(threads)));
-                    // No memo: the whole outcome is bit-identical,
-                    // counters included.
-                    let parallel = planner
-                        .search_from(&ctx, &request, request.submitted_at)
-                        .expect("parallel search is feasible");
-                    assert_eq!(
-                        parallel, sequential,
-                        "{label}: {threads}-thread outcome diverged"
-                    );
+                for threads in [1usize, 2, 4] {
+                    let pool = PlannerPool::new(threads);
+                    for memo in [None, Some(&memo)] {
+                        let label = format!("{label} threads {threads} memo {}", memo.is_some());
+                        let opts = || SearchOpts {
+                            pool: Some(&pool),
+                            memo,
+                            ..SearchOpts::default()
+                        };
+                        // A fresh repair cache per combination: one cold
+                        // call, then two on the warm cache.
+                        let cache = ReplanCache::new();
+                        let repaired = || SearchOpts {
+                            repair: Some(&cache),
+                            ..opts()
+                        };
+                        let mut outcomes = vec![search
+                            .search(&ctx, &request, opts())
+                            .expect("pooled search is feasible")];
+                        for _ in 0..3 {
+                            outcomes.push(
+                                search
+                                    .search(&ctx, &request, repaired())
+                                    .expect("repaired search is feasible"),
+                            );
+                        }
+                        for (round, outcome) in outcomes.iter().enumerate() {
+                            let label = format!("{label} round {round}");
+                            if memo.is_none() {
+                                // No memo: the whole outcome is
+                                // bit-identical, counters included.
+                                assert_eq!(*outcome, sequential, "{label}: outcome diverged");
+                                continue;
+                            }
+                            // Memoized: same plan, boundary, and visit
+                            // count; only the explored-plan counter may
+                            // shrink.
+                            assert_same_plan(outcome, &sequential, &label);
+                            assert_eq!(
+                                outcome.boundary, sequential.boundary,
+                                "{label}: memoized boundary diverged"
+                            );
+                            assert_eq!(
+                                outcome.sync_points_visited, sequential.sync_points_visited,
+                                "{label}: memoized visit count diverged"
+                            );
+                            assert!(
+                                outcome.plans_explored <= sequential.plans_explored,
+                                "{label}: memo explored more plans than sequential"
+                            );
+                            if outcome.plans_explored < sequential.plans_explored {
+                                memo_savings += 1;
+                            }
+                        }
 
-                    // Memoized: same plan, boundary, and visit count;
-                    // only the explored-plan counter may shrink.
-                    let memoized = planner
-                        .search_memoized(&ctx, &request, request.submitted_at, &memo)
-                        .expect("memoized search is feasible");
-                    assert_same_plan(&memoized, &sequential, &label);
-                    assert_eq!(
-                        memoized.boundary, sequential.boundary,
-                        "{label}: memoized boundary diverged"
-                    );
-                    assert_eq!(
-                        memoized.sync_points_visited, sequential.sync_points_visited,
-                        "{label}: memoized visit count diverged"
-                    );
-                    assert!(
-                        memoized.plans_explored <= sequential.plans_explored,
-                        "{label}: memo explored more plans than sequential"
-                    );
-                    if memoized.plans_explored < sequential.plans_explored {
-                        memo_savings += 1;
+                        // Repair sits below the events: on the warm cache
+                        // (and, with a memo, the memo the calls above
+                        // warmed) the recorded trace is byte-identical
+                        // with and without it.
+                        let traced = |repair: Option<&ReplanCache>| {
+                            let trace = Arc::new(Trace::new());
+                            let tracer = Tracer::recording(Arc::clone(&trace));
+                            search
+                                .search(
+                                    &ctx,
+                                    &request,
+                                    SearchOpts {
+                                        repair,
+                                        tracer: Some(&tracer),
+                                        ..opts()
+                                    },
+                                )
+                                .expect("traced search is feasible");
+                            trace.render()
+                        };
+                        assert_eq!(
+                            traced(Some(&cache)),
+                            traced(None),
+                            "{label}: repair changed the trace bytes"
+                        );
+                        let stats = cache.stats();
+                        repair_reuses += stats.hits + stats.outcome_hits;
                     }
                 }
                 workloads += 1;
@@ -185,5 +245,9 @@ fn parallel_planner_matches_sequential_over_seeded_workloads() {
     assert!(
         memo_savings > 0,
         "the memo never pruned anything across the whole band"
+    );
+    assert!(
+        repair_reuses > 0,
+        "the warm repair cache never answered across the whole band"
     );
 }

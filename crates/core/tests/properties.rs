@@ -10,7 +10,7 @@ use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::latency::Latencies;
 use ivdss_core::plan::{evaluate_plan, NoQueues, PlanContext, QueryRequest};
 use ivdss_core::planner::{FederationPlanner, IvqpPlanner, Planner, WarehousePlanner};
-use ivdss_core::search::{exhaustive_search, ScatterGatherSearch};
+use ivdss_core::search::{exhaustive_search, ScatterGatherSearch, SearchOpts};
 use ivdss_core::value::{BusinessValue, DiscountRates, InformationValue};
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -136,7 +136,7 @@ proptest! {
             QuerySpec::new(QueryId::new(0), vec![t(0), t(1), t(2), t(3)]),
             SimTime::new(submit),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = ScatterGatherSearch::new().search(&ctx, &req, SearchOpts::default()).unwrap();
         let ex = exhaustive_search(&ctx, &req, 96).unwrap();
         prop_assert!(
             sg.best.information_value.value() >= ex.best.information_value.value() - 1e-12,
@@ -236,7 +236,7 @@ proptest! {
             QuerySpec::new(QueryId::new(0), vec![t(0), t(1)]),
             SimTime::new(10.0),
         );
-        let sg = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let sg = ScatterGatherSearch::new().search(&ctx, &req, SearchOpts::default()).unwrap();
         prop_assert!(sg.best.execute_at <= sg.boundary);
     }
 }

@@ -28,7 +28,7 @@ use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest, SiteFloors};
 use ivdss_core::repair::ReplanCache;
-use ivdss_core::search::{ScatterGatherSearch, SearchOutcome};
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts, SearchOutcome};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -70,6 +70,14 @@ fn fixture(seed: u64) -> (ivdss_catalog::catalog::Catalog, SyncTimelines) {
     (catalog, timelines)
 }
 
+/// Search options that reuse (and feed) `cache`.
+fn with_cache(cache: &ReplanCache) -> SearchOpts<'_> {
+    SearchOpts {
+        repair: Some(cache),
+        ..SearchOpts::default()
+    }
+}
+
 /// Runs the three search flavours and pins them against each other;
 /// returns the agreed outcome.
 fn assert_triple_identical(
@@ -80,11 +88,22 @@ fn assert_triple_identical(
     cache: &ReplanCache,
     label: &str,
 ) -> SearchOutcome {
+    let floored = || SearchOpts {
+        not_before: Some(not_before),
+        ..SearchOpts::default()
+    };
     let repaired = search
-        .search_from_repaired(ctx, request, not_before, cache)
+        .search(
+            ctx,
+            request,
+            SearchOpts {
+                repair: Some(cache),
+                ..floored()
+            },
+        )
         .expect("repaired search is feasible");
     let scratch = search
-        .search_from(ctx, request, not_before)
+        .search(ctx, request, floored())
         .expect("from-scratch search is feasible");
     let boxed = search
         .reference_search_boxed(ctx, request, not_before)
@@ -259,7 +278,7 @@ fn stale_cache_under_floored_outage_corrupts_what_the_bypass_protects() {
     // Warm a cache under the stateless-queue belief.
     let stale = ReplanCache::new();
     let nominal = search
-        .search_from_repaired(&nominal_ctx, &request, request.submitted_at, &stale)
+        .search(&nominal_ctx, &request, with_cache(&stale))
         .expect("warming search is feasible");
 
     // Every site floored until t = 40: the outage-replan context.
@@ -272,7 +291,7 @@ fn stale_cache_under_floored_outage_corrupts_what_the_bypass_protects() {
         ..nominal_ctx
     };
     let scratch = search
-        .search_from(&floored_ctx, &request, request.submitted_at)
+        .search(&floored_ctx, &request, SearchOpts::default())
         .expect("floored search is feasible");
     assert_ne!(
         scratch.best.finish, nominal.best.finish,
@@ -283,7 +302,7 @@ fn stale_cache_under_floored_outage_corrupts_what_the_bypass_protects() {
     // stateless scores into the floored search and corrupts it — the
     // exact divergence the serve engine's bypass rules out.
     let corrupted = search
-        .search_from_repaired(&floored_ctx, &request, request.submitted_at, &stale)
+        .search(&floored_ctx, &request, with_cache(&stale))
         .expect("poisoned search still runs");
     assert_ne!(
         corrupted, scratch,
@@ -295,7 +314,7 @@ fn stale_cache_under_floored_outage_corrupts_what_the_bypass_protects() {
     // is not: a cache warmed under the same floored belief is exact.
     let fresh = ReplanCache::new();
     let repaired = search
-        .search_from_repaired(&floored_ctx, &request, request.submitted_at, &fresh)
+        .search(&floored_ctx, &request, with_cache(&fresh))
         .expect("fresh repaired search is feasible");
     assert_eq!(
         repaired, scratch,

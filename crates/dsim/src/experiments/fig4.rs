@@ -17,7 +17,7 @@ use ivdss_catalog::ids::{SiteId, TableId};
 use ivdss_catalog::replica::{ReplicaSpec, ReplicationPlan};
 use ivdss_catalog::table::TableMeta;
 use ivdss_core::plan::{NoQueues, PlanContext, PlanEvaluation, QueryRequest};
-use ivdss_core::search::{exhaustive_search, ScatterGatherSearch, SearchOutcome};
+use ivdss_core::search::{exhaustive_search, ScatterGatherSearch, SearchOpts, SearchOutcome};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -150,7 +150,7 @@ pub fn run_fig4() -> Fig4Results {
         queues: &NoQueues,
     };
     let search = ScatterGatherSearch::new()
-        .search(&ctx, &setup.request)
+        .search(&ctx, &setup.request, SearchOpts::default())
         .expect("worked example is feasible");
     let oracle = exhaustive_search(&ctx, &setup.request, 64).expect("oracle is feasible");
     let all_remote = ivdss_core::plan::evaluate_plan(

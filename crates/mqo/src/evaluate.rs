@@ -18,7 +18,7 @@ use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
 use ivdss_core::parallel::PlannerPool;
 use ivdss_core::plan::{FacilityQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest};
-use ivdss_core::planner::IvqpPlanner;
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::CostModel;
 use ivdss_ga::permutation::Permutation;
@@ -63,7 +63,7 @@ pub struct WorkloadEvaluator<'a> {
     model: &'a dyn CostModel,
     rates: DiscountRates,
     requests: &'a [QueryRequest],
-    planner: IvqpPlanner,
+    search: ScatterGatherSearch,
     pool: Arc<PlannerPool>,
 }
 
@@ -88,7 +88,7 @@ impl<'a> WorkloadEvaluator<'a> {
             model,
             rates,
             requests,
-            planner: IvqpPlanner::new(),
+            search: ScatterGatherSearch::new(),
             pool: Arc::new(PlannerPool::sequential()),
         }
     }
@@ -155,7 +155,10 @@ impl<'a> WorkloadEvaluator<'a> {
                 rates: self.rates,
                 queues: &queues,
             };
-            let plan = self.planner.search(&ctx, request)?.best;
+            let plan = self
+                .search
+                .search(&ctx, request, SearchOpts::default())?
+                .best;
             commit_plan(&mut queues, self.catalog, request, &plan);
             total += plan.information_value.value();
             plans.push(ScheduledQuery {

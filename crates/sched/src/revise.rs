@@ -194,7 +194,7 @@ mod tests {
         use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
         use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
         use ivdss_core::repair::ReplanCache;
-        use ivdss_core::search::ScatterGatherSearch;
+        use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
         use ivdss_core::value::DiscountRates;
         use ivdss_costmodel::model::StylizedCostModel;
         use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -220,6 +220,10 @@ mod tests {
         );
         let search = ScatterGatherSearch::new();
         let cache = ReplanCache::new();
+        let with_cache = || SearchOpts {
+            repair: Some(&cache),
+            ..SearchOpts::default()
+        };
         // Warm the cache under the pre-reschedule timelines.
         let warm_ctx = PlanContext {
             catalog: &catalog,
@@ -229,7 +233,7 @@ mod tests {
             queues: &NoQueues,
         };
         let before = search
-            .search_from_repaired(&warm_ctx, &request, request.submitted_at, &cache)
+            .search(&warm_ctx, &request, with_cache())
             .expect("warming search plans");
 
         // Steer table 1's refreshes onto a sparser, shifted grid.
@@ -255,10 +259,10 @@ mod tests {
             queues: &NoQueues,
         };
         let repaired = search
-            .search_from_repaired(&revised_ctx, &request, request.submitted_at, &cache)
+            .search(&revised_ctx, &request, with_cache())
             .expect("repaired search plans");
         let scratch = search
-            .search_from(&revised_ctx, &request, request.submitted_at)
+            .search(&revised_ctx, &request, SearchOpts::default())
             .expect("from-scratch search plans");
         assert_eq!(repaired, scratch, "repair diverged after a reschedule");
         // The warm search ran at the same phase, so any surviving scores

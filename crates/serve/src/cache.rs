@@ -186,7 +186,6 @@ pub struct PlanCache {
     entries: HashMap<PlanCacheKey, CacheEntry>,
     insertion_order: VecDeque<PlanCacheKey>,
     capacity: usize,
-    max_sync_points: usize,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -205,7 +204,6 @@ impl PlanCache {
             entries: HashMap::new(),
             insertion_order: VecDeque::new(),
             capacity,
-            max_sync_points: DEFAULT_MAX_SYNC_POINTS,
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -278,7 +276,7 @@ impl PlanCache {
             }
         }
 
-        let (best, entry) = Self::populate(ctx, request, self.max_sync_points)?;
+        let (best, entry) = Self::populate(ctx, request)?;
         self.misses += 1;
         if !self.entries.contains_key(&key) {
             while self.entries.len() >= self.capacity {
@@ -300,7 +298,6 @@ impl PlanCache {
     fn populate(
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
-        max_sync_points: usize,
     ) -> Result<(PlanEvaluation, CacheEntry), PlanError> {
         let submit = request.submitted_at;
         let replicated = replicated_footprint(ctx, request);
@@ -344,7 +341,7 @@ impl PlanCache {
                     }
                 }
                 visited += 1;
-                if visited > max_sync_points {
+                if visited > DEFAULT_MAX_SYNC_POINTS {
                     break;
                 }
                 for local in &subsets[1..] {

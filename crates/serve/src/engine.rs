@@ -5,8 +5,8 @@
 //! replication timelines into the plan cache's invalidator, (2) runs
 //! IV-aware admission ([`AdmissionQueue`]), (3) selects a plan — from
 //! the sync-phase [`PlanCache`] or by a fresh scatter-and-gather search
-//! (a [`ParallelPlanner`] over a shareable [`PlannerPool`], reusing
-//! [`PhaseMemo`] pruning frontiers across dispatches) — under a
+//! on a shareable [`PlannerPool`], reusing [`PhaseMemo`] pruning
+//! frontiers and [`ReplanCache`] scores across dispatches) — under a
 //! [`NoQueues`] planning context, and (4) dispatches the plan
 //! through reservation-calendar facilities ([`FacilityQueues`]),
 //! re-evaluating the chosen candidate against live calendar state so the
@@ -53,12 +53,13 @@ use std::sync::Arc;
 use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::{SiteId, TableId};
 use ivdss_core::memo::PhaseMemo;
-use ivdss_core::parallel::{ParallelPlanner, PlannerPool};
+use ivdss_core::parallel::PlannerPool;
 use ivdss_core::plan::{
     evaluate_plan, FacilityQueues, NoQueues, PlanContext, PlanError, PlanEvaluation, QueryRequest,
     SiteFloors,
 };
 use ivdss_core::repair::ReplanCache;
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
 use ivdss_core::starvation::AgingPolicy;
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::CostModel;
@@ -78,6 +79,9 @@ use crate::cache::{CacheOutcome, PlanCache};
 use crate::clock::Clock;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 
+/// Plan-cache entry bound (FIFO eviction beyond it).
+const PLAN_CACHE_CAPACITY: usize = 256;
+
 /// Tuning knobs of a [`ServeEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
@@ -86,8 +90,6 @@ pub struct ServeConfig {
     /// Admission-queue bound; arrivals beyond it trigger IV-aware
     /// shedding.
     pub queue_capacity: usize,
-    /// Plan-cache entry bound (FIFO eviction beyond it).
-    pub cache_capacity: usize,
     /// Aging applied to queued queries' marginal IV (§3.3); disabled by
     /// default.
     pub aging: AgingPolicy,
@@ -100,12 +102,6 @@ pub struct ServeConfig {
     /// Plan-decision audits retained (most recent first to go; `0`
     /// disables audit collection entirely).
     pub audit_capacity: usize,
-    /// `true` lets dispatch-time fresh searches reuse candidate scores
-    /// from previous searches of the same query via the engine's
-    /// [`ReplanCache`] (incremental re-planning). Transparent: plans,
-    /// counters and traces are bit-identical either way — only
-    /// wall-clock shrinks.
-    pub use_repair: bool,
     /// `true` makes a fault revision proactively repair the plans of
     /// queued queries touching the revised table (emitting a
     /// `plan_repaired` trace event per query), so their dispatch-time
@@ -122,12 +118,10 @@ impl ServeConfig {
         ServeConfig {
             rates,
             queue_capacity: 64,
-            cache_capacity: 256,
             aging: AgingPolicy::DISABLED,
             use_cache: true,
             dispatch_backlog: SimDuration::new(f64::INFINITY),
             audit_capacity: 256,
-            use_repair: true,
             replan_on_revision: false,
         }
     }
@@ -212,10 +206,9 @@ pub struct ServeEngine<'a, C: Clock> {
     cursor: SyncEventCursor,
     metrics: ServeMetrics,
     faults: Option<FaultState>,
-    /// Dispatch-time plan searches run through this planner (sequential
-    /// unless a pool is shared via
-    /// [`ServeEngine::with_planner_pool`]).
-    planner: ParallelPlanner,
+    /// Dispatch-time plan searches fan out over this pool (sequential
+    /// unless one is shared via [`ServeEngine::with_planner_pool`]).
+    pool: Arc<PlannerPool>,
     /// Sync-phase pruning frontiers reused across dispatch searches.
     /// Keyed by phase *offsets*, so timeline revisions never invalidate
     /// it, and only consulted under stateless-queue contexts (the
@@ -266,14 +259,14 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             timelines: Cow::Borrowed(timelines),
             model,
             queue: AdmissionQueue::new(config.queue_capacity, config.aging),
-            cache: PlanCache::new(config.cache_capacity),
+            cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             facilities: FacilityQueues::new(catalog.site_count()),
             cursor: SyncEventCursor::new(start),
             metrics: ServeMetrics::new(start),
             config,
             clock,
             faults: None,
-            planner: ParallelPlanner::new(Arc::new(PlannerPool::sequential())),
+            pool: Arc::new(PlannerPool::sequential()),
             memo: Arc::new(PhaseMemo::new()),
             replan: ReplanCache::new(),
             storage: None,
@@ -289,7 +282,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     /// sequential engine.
     #[must_use]
     pub fn with_planner_pool(mut self, pool: Arc<PlannerPool>) -> Self {
-        self.planner = ParallelPlanner::new(pool);
+        self.pool = pool;
         self
     }
 
@@ -458,7 +451,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     /// The pool dispatch-time plan searches run on.
     #[must_use]
     pub fn planner_pool(&self) -> &Arc<PlannerPool> {
-        self.planner.pool()
+        &self.pool
     }
 
     /// The sync-phase pruning memo (hit/miss counters for
@@ -619,14 +612,15 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             // The inner search is deliberately unobserved: the repair is
             // a warm-up, and the dispatch-time search re-emits the full
             // search trace exactly as without repair.
-            self.planner.search_repaired_observed(
+            ScatterGatherSearch::new().search(
                 &planning_ctx!(self),
                 &request,
-                request.submitted_at,
-                Some(&self.memo),
-                Some(&self.replan),
-                &Tracer::disabled(),
-                None,
+                SearchOpts {
+                    pool: Some(&self.pool),
+                    memo: Some(&self.memo),
+                    repair: Some(&self.replan),
+                    ..SearchOpts::default()
+                },
             )?;
             let after = self.replan.stats();
             let reused = after.hits - before.hits;
@@ -814,17 +808,18 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             // bit-identical with or without it.
             source = PlanSource::FreshSearch;
             let mut audit = collect_audit.then(SearchAudit::default);
-            let repair = self.config.use_repair.then_some(&self.replan);
-            let best = self
-                .planner
-                .search_repaired_observed(
+            let best = ScatterGatherSearch::new()
+                .search(
                     &planning_ctx!(self),
                     &request,
-                    request.submitted_at,
-                    Some(&self.memo),
-                    repair,
-                    &self.tracer,
-                    audit.as_mut(),
+                    SearchOpts {
+                        pool: Some(&self.pool),
+                        memo: Some(&self.memo),
+                        repair: Some(&self.replan),
+                        tracer: Some(&self.tracer),
+                        audit: audit.as_mut(),
+                        ..SearchOpts::default()
+                    },
                 )?
                 .best;
             search_audit = audit;
@@ -861,14 +856,17 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
                 // Floors are time-dependent queue state → memo unsound;
                 // the pool still parallelizes the candidate evaluation.
                 let mut audit = collect_audit.then(SearchAudit::default);
-                let best = self
-                    .planner
-                    .search_from_observed(
+                let best = ScatterGatherSearch::new()
+                    .search(
                         &planning_ctx!(self, &floored),
                         &request,
-                        now,
-                        &self.tracer,
-                        audit.as_mut(),
+                        SearchOpts {
+                            not_before: Some(now),
+                            pool: Some(&self.pool),
+                            tracer: Some(&self.tracer),
+                            audit: audit.as_mut(),
+                            ..SearchOpts::default()
+                        },
                     )?
                     .best;
                 search_audit = audit;
@@ -984,9 +982,17 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
             // NoQueues again — and the memo keys phase *offsets*, so the
             // nominal and revised-belief timelines share frontiers
             // whenever their phases line up.
-            let ideal = self
-                .planner
-                .search_memoized(&nominal_ctx, &request, now, &self.memo)?
+            let ideal = ScatterGatherSearch::new()
+                .search(
+                    &nominal_ctx,
+                    &request,
+                    SearchOpts {
+                        not_before: Some(now),
+                        pool: Some(&self.pool),
+                        memo: Some(&self.memo),
+                        ..SearchOpts::default()
+                    },
+                )?
                 .best;
             iv_lost =
                 (ideal.information_value.value() - delivered.information_value.value()).max(0.0);

@@ -5,7 +5,7 @@ use ivdss_catalog::catalog::Catalog;
 use ivdss_catalog::ids::TableId;
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest};
-use ivdss_core::search::ScatterGatherSearch;
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
 use ivdss_core::value::{BusinessValue, DiscountRates};
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_costmodel::query::{QueryId, QuerySpec};
@@ -95,7 +95,7 @@ proptest! {
         );
         let (eval1, outcome1) = cache.plan(&ctx, &req1).unwrap();
         prop_assert_eq!(outcome1, CacheOutcome::Miss);
-        let fresh1 = ScatterGatherSearch::new().search(&ctx, &req1).unwrap();
+        let fresh1 = ScatterGatherSearch::new().search(&ctx, &req1, SearchOpts::default()).unwrap();
         prop_assert!(
             (eval1.information_value.value() - fresh1.best.information_value.value()).abs()
                 <= 1e-12 * fresh1.best.information_value.value().max(1.0),
@@ -113,7 +113,7 @@ proptest! {
         .with_business_value(BusinessValue::new(bv));
         let (eval2, outcome2) = cache.plan(&ctx, &req2).unwrap();
         prop_assert_eq!(outcome2, CacheOutcome::Hit);
-        let fresh2 = ScatterGatherSearch::new().search(&ctx, &req2).unwrap();
+        let fresh2 = ScatterGatherSearch::new().search(&ctx, &req2, SearchOpts::default()).unwrap();
         prop_assert!(
             (eval2.information_value.value() - fresh2.best.information_value.value()).abs()
                 <= 1e-12 * fresh2.best.information_value.value().max(1.0),
@@ -150,7 +150,7 @@ proptest! {
             SimTime::new(submit),
         );
         let (eval, _) = cache.plan(&ctx, &req).unwrap();
-        let fresh = ScatterGatherSearch::new().search(&ctx, &req).unwrap();
+        let fresh = ScatterGatherSearch::new().search(&ctx, &req, SearchOpts::default()).unwrap();
         prop_assert!(
             (eval.information_value.value() - fresh.best.information_value.value()).abs() <= 1e-12
         );

@@ -7,7 +7,7 @@
 //! through [`ServeEngine`], and asserts — through the plan-decision
 //! audit and the trace — that the re-plan (a) actually fired, (b) never
 //! touched the memo, and (c) chose exactly the plan a memo-free
-//! [`ScatterGatherSearch::search_from`] picks over the identical
+//! [`ScatterGatherSearch::search`] picks over the identical
 //! floored context.
 
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use ivdss_catalog::placement::PlacementStrategy;
 use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
 use ivdss_core::plan::{NoQueues, PlanContext, QueryRequest, SiteFloors};
-use ivdss_core::search::ScatterGatherSearch;
+use ivdss_core::search::{ScatterGatherSearch, SearchOpts};
 use ivdss_core::value::DiscountRates;
 use ivdss_costmodel::model::StylizedCostModel;
 use ivdss_faults::{FaultPlan, Outage};
@@ -67,7 +67,10 @@ fn outage_replan_bypasses_the_memo_and_matches_the_memo_free_search() {
         .iter()
         .find_map(|spec| {
             let request = QueryRequest::new(spec.clone(), SimTime::new(SUBMIT));
-            let best = search.search(&nominal_ctx, &request).ok()?.best;
+            let best = search
+                .search(&nominal_ctx, &request, SearchOpts::default())
+                .ok()?
+                .best;
             let remote: Vec<_> = request
                 .query
                 .tables()
@@ -151,8 +154,12 @@ fn outage_replan_bypasses_the_memo_and_matches_the_memo_free_search() {
         rates,
         queues: &floored,
     };
+    let at_submit = || SearchOpts {
+        not_before: Some(SimTime::new(SUBMIT)),
+        ..SearchOpts::default()
+    };
     let reference = search
-        .search_from(&floored_ctx, &request, SimTime::new(SUBMIT))
+        .search(&floored_ctx, &request, at_submit())
         .expect("memo-free floored search succeeds")
         .best;
     assert_eq!(audit.chosen_release, reference.execute_at);
@@ -166,9 +173,7 @@ fn outage_replan_bypasses_the_memo_and_matches_the_memo_free_search() {
         "audited planned IV must match the memo-free search bit for bit"
     );
     assert_eq!(search_audit.explored(), {
-        let outcome = search
-            .search_from(&floored_ctx, &request, SimTime::new(SUBMIT))
-            .unwrap();
+        let outcome = search.search(&floored_ctx, &request, at_submit()).unwrap();
         outcome.plans_explored
     });
 }

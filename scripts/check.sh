@@ -32,6 +32,9 @@ cargo test --offline --release -p ivdss-storage
 cargo test --offline --release -p ivdss-dsim --test calibration_regression
 cargo test --offline --release -p ivdss-serve --test golden_storage_trace
 
+echo "==> repo benchmark builds (perfbench is its own cargo workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> markdown link check"
 scripts/linkcheck.sh
 
