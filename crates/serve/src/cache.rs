@@ -42,7 +42,7 @@
 //! [`NoQueues`]: ivdss_core::plan::NoQueues
 //! [`ScatterGatherSearch`]: ivdss_core::search::ScatterGatherSearch
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use ivdss_catalog::ids::TableId;
 use ivdss_core::plan::{evaluate_plan, PlanContext, PlanError, PlanEvaluation, QueryRequest};
@@ -119,6 +119,9 @@ struct Candidate {
 
 #[derive(Debug, Clone)]
 struct CacheEntry {
+    /// Insertion sequence number: this entry's key in
+    /// `PlanCache::insertion_order`.
+    seq: u64,
     /// Replicated footprint tables, aligned with `last_syncs`.
     replicated: Vec<TableId>,
     /// Last sync time per replicated table when the entry was built.
@@ -184,7 +187,11 @@ struct CacheEntry {
 #[derive(Debug, Clone)]
 pub struct PlanCache {
     entries: HashMap<PlanCacheKey, CacheEntry>,
-    insertion_order: VecDeque<PlanCacheKey>,
+    /// Live keys by insertion sequence number, oldest first: the FIFO
+    /// eviction order. Evicting an entry removes its key by number, so
+    /// garbage collection never rehashes the surviving keys.
+    insertion_order: BTreeMap<u64, PlanCacheKey>,
+    next_seq: u64,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -202,7 +209,8 @@ impl PlanCache {
         assert!(capacity > 0, "cache capacity must be positive");
         PlanCache {
             entries: HashMap::new(),
-            insertion_order: VecDeque::new(),
+            insertion_order: BTreeMap::new(),
+            next_seq: 0,
             capacity,
             hits: 0,
             misses: 0,
@@ -276,18 +284,22 @@ impl PlanCache {
             }
         }
 
-        let (best, entry) = Self::populate(ctx, request)?;
+        let (best, mut entry) = Self::populate(ctx, request)?;
         self.misses += 1;
-        if !self.entries.contains_key(&key) {
+        if let Some(existing) = self.entries.get(&key) {
+            entry.seq = existing.seq;
+        } else {
             while self.entries.len() >= self.capacity {
-                match self.insertion_order.pop_front() {
-                    Some(oldest) => {
+                match self.insertion_order.pop_first() {
+                    Some((_, oldest)) => {
                         self.entries.remove(&oldest);
                     }
                     None => break,
                 }
             }
-            self.insertion_order.push_back(key.clone());
+            entry.seq = self.next_seq;
+            self.next_seq += 1;
+            self.insertion_order.insert(entry.seq, key.clone());
         }
         self.entries.insert(key, entry);
         Ok((best, CacheOutcome::Miss))
@@ -384,6 +396,7 @@ impl PlanCache {
         Ok((
             best,
             CacheEntry {
+                seq: 0, // assigned on insertion
                 replicated,
                 last_syncs,
                 candidates,
@@ -398,19 +411,7 @@ impl PlanCache {
     /// unlike ordinary sync-event GC the eviction is a correctness
     /// matter, not just garbage collection.
     pub fn invalidate_table(&mut self, table: TableId) -> usize {
-        let stale: Vec<PlanCacheKey> = self
-            .entries
-            .iter()
-            .filter(|(_, entry)| entry.replicated.contains(&table))
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in &stale {
-            self.entries.remove(key);
-        }
-        self.insertion_order
-            .retain(|key| self.entries.contains_key(key));
-        self.invalidations += stale.len() as u64;
-        stale.len()
+        self.evict_where(|entry| entry.replicated.contains(&table))
     }
 
     /// Counts entries whose recorded sync phase disagrees with
@@ -440,26 +441,141 @@ impl PlanCache {
         if events.is_empty() || self.entries.is_empty() {
             return 0;
         }
-        let stale: Vec<PlanCacheKey> = self
-            .entries
-            .iter()
-            .filter(|(_, entry)| {
-                events.iter().any(|event| {
-                    entry
-                        .replicated
-                        .iter()
-                        .position(|&t| t == event.table)
-                        .is_some_and(|idx| entry.last_syncs[idx].is_none_or(|seen| seen < event.at))
-                })
+        self.evict_where(|entry| {
+            events.iter().any(|event| {
+                entry
+                    .replicated
+                    .iter()
+                    .position(|&t| t == event.table)
+                    .is_some_and(|idx| entry.last_syncs[idx].is_none_or(|seen| seen < event.at))
             })
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in &stale {
-            self.entries.remove(key);
+        })
+    }
+
+    /// Evicts every entry `is_stale` selects, counts them as
+    /// invalidations and returns how many were dropped. Only the evicted
+    /// keys leave the FIFO order (removed by sequence number, without
+    /// hashing), so the survivors keep their order and a tick that evicts
+    /// nothing costs one pass over the entries.
+    fn evict_where(&mut self, mut is_stale: impl FnMut(&CacheEntry) -> bool) -> usize {
+        let before = self.entries.len();
+        let order = &mut self.insertion_order;
+        self.entries.retain(|_, entry| {
+            let stale = is_stale(entry);
+            if stale {
+                order.remove(&entry.seq);
+            }
+            !stale
+        });
+        let evicted = before - self.entries.len();
+        self.invalidations += evicted as u64;
+        evicted
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ivdss_catalog::synthetic::{synthetic_catalog, SyntheticConfig};
+    use ivdss_core::plan::NoQueues;
+    use ivdss_core::value::DiscountRates;
+    use ivdss_costmodel::model::StylizedCostModel;
+    use ivdss_costmodel::query::{QueryId, QuerySpec};
+    use ivdss_replication::schedule::Schedule;
+    use proptest::prelude::*;
+
+    /// The live keys as the FIFO order lists them, oldest first.
+    fn order(cache: &PlanCache) -> Vec<PlanCacheKey> {
+        cache.insertion_order.values().cloned().collect()
+    }
+
+    /// Whether `event` closes the sync window `key` was built in, read
+    /// from the key alone so the model stays independent of the entries.
+    fn closes_window(key: &PlanCacheKey, timelines: &SyncTimelines, event: &SyncEvent) -> bool {
+        key.footprint
+            .iter()
+            .filter(|&&t| timelines.has_replica(t))
+            .zip(&key.sync_phase)
+            .any(|(&t, &seen)| {
+                t == event.table
+                    && (seen == NEVER_SYNCED || f64::from_bits(seen) < event.at.value())
+            })
+    }
+
+    proptest! {
+        /// Random interleavings of lookups, sync-event GC and table
+        /// invalidation keep `insertion_order` equal to a FIFO model: it
+        /// holds exactly the live keys, each once, oldest first, and a
+        /// miss at capacity evicts the oldest surviving entry.
+        #[test]
+        fn insertion_order_tracks_live_keys_fifo(
+            ops in prop::collection::vec((0u8..4, 1u32..32, 0.0..60.0f64), 1..120)
+        ) {
+            let catalog = synthetic_catalog(&SyntheticConfig {
+                tables: 5,
+                sites: 2,
+                replicated_tables: 0,
+                seed: 23,
+                ..SyntheticConfig::default()
+            })
+            .unwrap();
+            let mut timelines = SyncTimelines::new();
+            for (t, period) in [(0u32, 7.0), (1, 11.0), (2, 13.0)] {
+                timelines.insert(TableId::new(t), Schedule::periodic(period, 5.0));
+            }
+            let model = StylizedCostModel::paper_fig4();
+            let ctx = PlanContext {
+                catalog: &catalog,
+                timelines: &timelines,
+                model: &model,
+                rates: DiscountRates::new(0.01, 0.05),
+                queues: &NoQueues,
+            };
+
+            let mut cache = PlanCache::new(4);
+            let mut fifo: Vec<PlanCacheKey> = Vec::new();
+            for (op, bits, at) in ops {
+                let at = SimTime::new(at);
+                let table = TableId::new(bits % 5);
+                match op {
+                    // Lookups are twice as likely as either GC path.
+                    0 | 1 => {
+                        let tables =
+                            (0..5).filter(|t| bits & (1 << t) != 0).map(TableId::new).collect();
+                        let request =
+                            QueryRequest::new(QuerySpec::new(QueryId::new(0), tables), at);
+                        let key = PlanCacheKey::for_request(&ctx, &request);
+                        let live = fifo.contains(&key);
+                        let (_, outcome) = cache.plan(&ctx, &request).unwrap();
+                        prop_assert_eq!(outcome == CacheOutcome::Hit, live);
+                        if !live {
+                            if fifo.len() == 4 {
+                                let oldest = fifo.remove(0);
+                                prop_assert!(!cache.entries.contains_key(&oldest));
+                            }
+                            fifo.push(key);
+                        }
+                    }
+                    2 => {
+                        let event = SyncEvent { at, table };
+                        let before = fifo.len();
+                        fifo.retain(|key| !closes_window(key, &timelines, &event));
+                        prop_assert_eq!(cache.apply_sync_events(&[event]), before - fifo.len());
+                    }
+                    _ => {
+                        let before = fifo.len();
+                        fifo.retain(|key| {
+                            !(key.footprint.contains(&table) && timelines.has_replica(table))
+                        });
+                        prop_assert_eq!(cache.invalidate_table(table), before - fifo.len());
+                    }
+                }
+                prop_assert_eq!(order(&cache), fifo.clone());
+                prop_assert_eq!(cache.len(), fifo.len());
+                for key in &fifo {
+                    prop_assert!(cache.entries.contains_key(key));
+                }
+            }
         }
-        self.insertion_order
-            .retain(|key| self.entries.contains_key(key));
-        self.invalidations += stale.len() as u64;
-        stale.len()
     }
 }

@@ -261,6 +261,21 @@ mod tests {
 /// Fig. 2): a reservation at a future time must not block the server for
 /// the idle gap before it.
 ///
+/// # Invariant and cost
+///
+/// The busy intervals are kept sorted and *strictly separated*: each
+/// interval ends before the next one starts (touching intervals are
+/// merged on booking). Starts and ends therefore both ascend, so the
+/// intervals already over at an arrival form a prefix that
+/// [`probe`](Self::probe) skips by binary search. A probe costs
+/// O(log n + k), where `n` is the number of busy intervals and `k` the
+/// number it walks past before finding a gap. A [`book`](Self::book)
+/// adds a binary search, one insertion (which shifts only the intervals
+/// after the new window: few when jobs arrive roughly in time order) and
+/// merges with the neighbours the window touches. Neither visits the
+/// intervals already in the past, so a long-running server's per-job
+/// cost stays flat.
+///
 /// # Examples
 ///
 /// ```
@@ -279,7 +294,7 @@ mod tests {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Calendar {
-    /// Sorted, non-overlapping busy intervals.
+    /// Sorted, strictly separated busy intervals (see the type docs).
     bookings: Vec<(SimTime, SimTime)>,
     jobs: u64,
     busy_time: SimDuration,
@@ -295,14 +310,20 @@ impl Calendar {
     /// Earliest start `≥ arrival` at which a job of length `service`
     /// fits, without committing it.
     ///
+    /// Intervals that end by `arrival` cannot delay the job; because the
+    /// intervals are sorted and strictly separated they form a prefix,
+    /// found by binary search, so the probe costs O(log n + k) for `k`
+    /// intervals walked past (see the type docs).
+    ///
     /// # Panics
     ///
     /// Panics if `service` is negative.
     #[must_use]
     pub fn probe(&self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
         assert!(!service.is_negative(), "service time must be non-negative");
+        let first_live = self.bookings.partition_point(|&(_, end)| end <= arrival);
         let mut cursor = arrival;
-        for &(start, end) in &self.bookings {
+        for &(start, end) in &self.bookings[first_live..] {
             if end <= cursor {
                 continue;
             }
@@ -319,6 +340,11 @@ impl Calendar {
 
     /// Commits a job of length `service` at the earliest fit `≥ arrival`
     /// and returns its window.
+    ///
+    /// The window lies in a gap, so only the intervals just before and
+    /// after it can touch it; merging with those neighbours keeps the
+    /// intervals strictly separated. Cost: one [`probe`](Self::probe),
+    /// one binary search and one insertion.
     pub fn book(&mut self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
         let window = self.probe(arrival, service);
         if service.value() > 0.0 {
@@ -333,18 +359,38 @@ impl Calendar {
         window
     }
 
-    fn coalesce(&mut self, around: usize) {
-        // Merge adjacent touching intervals to keep the calendar compact.
-        let mut i = around.saturating_sub(1);
-        while i + 1 < self.bookings.len() {
-            if self.bookings[i].1 >= self.bookings[i + 1].0 {
-                let merged_end = self.bookings[i].1.max(self.bookings[i + 1].1);
-                self.bookings[i].1 = merged_end;
-                self.bookings.remove(i + 1);
-            } else {
-                i += 1;
-            }
+    /// Merges the interval at `inserted` with the neighbours it touches.
+    ///
+    /// Normally that is at most one on each side. The right-hand merge
+    /// loops because a positive service can round to a zero-width window
+    /// far out on the time line (`t + d == t`); such a window may sit at
+    /// the very start of the inserted one, which then absorbs it and may
+    /// still touch the interval after it.
+    fn coalesce(&mut self, inserted: usize) {
+        let mut i = inserted;
+        if i > 0 && self.bookings[i - 1].1 >= self.bookings[i].0 {
+            self.merge_next(i - 1);
+            i -= 1;
         }
+        while i + 1 < self.bookings.len() && self.bookings[i].1 >= self.bookings[i + 1].0 {
+            self.merge_next(i);
+        }
+        // The invariant, checked only around the merged window: O(1).
+        debug_assert!(
+            self.bookings[i.saturating_sub(1)..(i + 2).min(self.bookings.len())]
+                .windows(2)
+                .all(|pair| pair[0].0 <= pair[0].1
+                    && pair[0].1 < pair[1].0
+                    && pair[1].0 <= pair[1].1),
+            "calendar intervals around index {i} are unsorted, overlapping or touching"
+        );
+    }
+
+    /// Folds interval `i + 1` into interval `i`.
+    fn merge_next(&mut self, i: usize) {
+        let merged_end = self.bookings[i].1.max(self.bookings[i + 1].1);
+        self.bookings[i].1 = merged_end;
+        self.bookings.remove(i + 1);
     }
 
     /// Number of jobs booked.

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel invariants.
 
 use ivdss_simkernel::events::{Engine, EventQueue};
-use ivdss_simkernel::facility::Facility;
+use ivdss_simkernel::facility::{Calendar, Facility, ServiceWindow};
 use ivdss_simkernel::rng::{ErlangStream, ExponentialStream, SeedFactory, Stream};
 use ivdss_simkernel::stats::{OnlineStats, SampleSet};
 use ivdss_simkernel::time::{SimDuration, SimTime};
@@ -9,6 +9,64 @@ use proptest::prelude::*;
 
 fn finite_time() -> impl Strategy<Value = f64> {
     -1.0e6..1.0e6f64
+}
+
+/// Reference reservation calendar: a linear-scan probe over every
+/// booking and a coalesce that walks from the insertion point to the end.
+/// [`Calendar`] must agree with it bit for bit.
+#[derive(Default)]
+struct ScanCalendar {
+    bookings: Vec<(SimTime, SimTime)>,
+    busy_time: SimDuration,
+}
+
+impl ScanCalendar {
+    fn probe(&self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
+        let mut cursor = arrival;
+        for &(start, end) in &self.bookings {
+            if end <= cursor {
+                continue;
+            }
+            if start >= cursor + service {
+                break;
+            }
+            cursor = cursor.max(end);
+        }
+        ServiceWindow {
+            start: cursor,
+            finish: cursor + service,
+        }
+    }
+
+    fn book(&mut self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
+        let window = self.probe(arrival, service);
+        if service.value() > 0.0 {
+            let idx = self
+                .bookings
+                .partition_point(|&(start, _)| start < window.start);
+            self.bookings.insert(idx, (window.start, window.finish));
+            let mut i = idx.saturating_sub(1);
+            while i + 1 < self.bookings.len() {
+                if self.bookings[i].1 >= self.bookings[i + 1].0 {
+                    self.bookings[i].1 = self.bookings[i].1.max(self.bookings[i + 1].1);
+                    self.bookings.remove(i + 1);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        self.busy_time += service;
+        window
+    }
+
+    fn horizon(&self) -> SimTime {
+        self.bookings.last().map_or(SimTime::ZERO, |&(_, end)| end)
+    }
+}
+
+/// The window at fraction `x` through `windows` (which must be non-empty).
+fn pick(windows: &[ServiceWindow], x: f64) -> ServiceWindow {
+    windows[((x * windows.len() as f64) as usize).min(windows.len() - 1)]
 }
 
 proptest! {
@@ -140,5 +198,60 @@ proptest! {
         let a = SeedFactory::new(root).seed_for(&name);
         let b = SeedFactory::new(root).seed_for(&name);
         prop_assert_eq!(a, b);
+    }
+
+    /// The calendar's binary-searched probe and neighbour-only coalesce
+    /// agree bit for bit with a linear-scan reference over random booking
+    /// sequences: zero-length jobs, windows touching exactly at a
+    /// boundary, exact-fit and partial backfills into gaps, and
+    /// reservations far in the future (including one so far out that a
+    /// short job's finish rounds onto its start).
+    #[test]
+    fn calendar_matches_linear_scan_reference(
+        steps in prop::collection::vec(
+            ((0u8..7, 0.0..1.0f64, 0.0..1.0f64), (0.0..1.0f64, 0.0..1.0f64)),
+            1..150
+        )
+    ) {
+        let mut fast = Calendar::new();
+        let mut reference = ScanCalendar::default();
+        let mut windows: Vec<ServiceWindow> = Vec::new();
+        for ((kind, a, b), (c, d)) in steps {
+            // Integral times make exact touches between windows common.
+            let grid = |x: f64, scale: f64| (x * scale).floor();
+            let (arrival, service) = match kind {
+                0 => (grid(a, 100.0), grid(b, 10.0)),
+                1 => (grid(a, 100.0), 0.0),
+                // Arrive exactly at an earlier window's finish.
+                2 if !windows.is_empty() => (pick(&windows, a).finish.value(), grid(b, 10.0)),
+                // Exact-fit backfill: the span between two earlier windows.
+                3 if !windows.is_empty() => {
+                    let (x, y) = (pick(&windows, a), pick(&windows, b));
+                    (x.finish.value(), (y.start - x.finish).value().max(0.0))
+                }
+                4 => (1.0e6 + a * 1.0e9, b * 50.0),
+                5 => (1.0e16 + grid(a, 4.0) * 8.0, b * 0.5),
+                // Backfill anywhere before the horizon (and kinds 2 and 3
+                // before any window exists).
+                _ => (a * reference.horizon().value(), b * 5.0),
+            };
+            let (arrival, service) = (SimTime::new(arrival), SimDuration::new(service));
+            let w = fast.book(arrival, service);
+            prop_assert_eq!(w, reference.book(arrival, service));
+            windows.push(w);
+
+            prop_assert_eq!(fast.horizon(), reference.horizon());
+            prop_assert_eq!(fast.total_busy_time(), reference.busy_time);
+            let probes = [
+                c * 150.0,
+                c * reference.horizon().value(),
+                pick(&windows, c).start.value(),
+                pick(&windows, d).finish.value(),
+            ];
+            for probe_at in probes {
+                let (at, len) = (SimTime::new(probe_at), SimDuration::new(grid(d, 20.0)));
+                prop_assert_eq!(fast.probe(at, len), reference.probe(at, len));
+            }
+        }
     }
 }
