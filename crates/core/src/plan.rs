@@ -150,6 +150,15 @@ impl FacilityQueues {
     pub fn remote(&self, site: SiteId) -> &Calendar {
         &self.remotes[site.index()]
     }
+
+    /// Prunes every calendar before `now` (see [`Calendar::prune_before`]):
+    /// for a caller that never again probes or books before `now`.
+    pub fn prune_before(&mut self, now: SimTime) {
+        self.local.prune_before(now);
+        for remote in &mut self.remotes {
+            remote.prune_before(now);
+        }
+    }
 }
 
 impl QueueEstimator for FacilityQueues {
@@ -429,14 +438,13 @@ impl CandidateScore {
 ///
 /// `local` must be sorted ascending (data-version minimization iterates
 /// it in order), `sites` must be the ascending sites spanned by the
-/// remote reads (empty iff `remote_empty`), and `cost` the cost-model
-/// estimate for that split.
+/// remote reads (empty iff the plan reads every table locally), and
+/// `cost` the cost-model estimate for that split.
 fn score_candidate(
     ctx: &PlanContext<'_>,
     request: &QueryRequest,
     execute_at: SimTime,
     local: &[TableId],
-    remote_empty: bool,
     sites: &[SiteId],
     cost: PlanCost,
 ) -> CandidateScore {
@@ -456,7 +464,7 @@ fn score_candidate(
 
     // Data versions: replicas carry their last sync at release time; base
     // tables are effectively stamped at processing start.
-    let mut data_version = if remote_empty {
+    let mut data_version = if sites.is_empty() {
         SimTime::MAX
     } else {
         service_start
@@ -484,14 +492,14 @@ fn score_candidate(
     }
 }
 
-/// Structure-of-arrays store of everything about a query's candidate
-/// subsets that does **not** depend on the release time: per-mask local
-/// tables, spanned remote sites and cost-model estimates, each flattened
-/// into one shared vector with per-mask ranges. Built once per search,
-/// it makes scoring a candidate — [`SubsetArena::score`] — completely
-/// allocation-free: the release-time-dependent work is just queue
-/// probes, a handful of additions and the two `powf` calls of the IV
-/// formula.
+/// Flat store of everything about a query's candidate subsets that does
+/// **not** depend on the release time: per-mask local tables, spanned
+/// remote sites and cost-model estimates. Tables and sites are flattened
+/// into two shared vectors; each mask keeps one slot with its
+/// ranges and cost. Built once per search, it makes scoring a candidate
+/// — [`SubsetArena::score`] — completely allocation-free: the
+/// release-time-dependent work is just queue probes, a handful of
+/// additions and the two `powf` calls of the IV formula.
 ///
 /// Mask `m` selects replicated table `i` iff bit `i` of `m` is set, in
 /// exactly the [`local_subsets`](crate::search::local_subsets)
@@ -502,12 +510,24 @@ pub struct SubsetArena {
     replicated: Vec<TableId>,
     /// All masks' local tables, flattened; each mask's slice is sorted.
     locals: Vec<TableId>,
-    local_ranges: Vec<(usize, usize)>,
     /// All masks' spanned remote sites, flattened and ascending per mask.
     sites: Vec<SiteId>,
-    site_ranges: Vec<(usize, usize)>,
-    costs: Vec<PlanCost>,
-    remote_empty: Vec<bool>,
+    slots: Vec<MaskSlot>,
+}
+
+/// One mask's ranges in [`SubsetArena`]'s shared vectors, plus its cost
+/// estimate. A plan reads some table remotely iff it spans a remote
+/// site, so an empty site range marks the all-local plan.
+#[derive(Debug, Clone, Copy)]
+struct MaskSlot {
+    locals: (u32, u32),
+    sites: (u32, u32),
+    cost: PlanCost,
+}
+
+/// An offset into a [`SubsetArena`] vector.
+fn arena_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("arena offsets fit in u32")
 }
 
 impl SubsetArena {
@@ -528,11 +548,8 @@ impl SubsetArena {
         let mut arena = SubsetArena {
             replicated: replicated.to_vec(),
             locals: Vec::new(),
-            local_ranges: Vec::with_capacity(n_masks),
             sites: Vec::new(),
-            site_ranges: Vec::with_capacity(n_masks),
-            costs: Vec::with_capacity(n_masks),
-            remote_empty: Vec::with_capacity(n_masks),
+            slots: Vec::with_capacity(n_masks),
         };
         for mask in 0..n_masks {
             let local: BTreeSet<TableId> = replicated
@@ -541,9 +558,8 @@ impl SubsetArena {
                 .filter(|(i, _)| mask & (1 << i) != 0)
                 .map(|(_, &t)| t)
                 .collect();
-            let local_start = arena.locals.len();
+            let local_start = arena_offset(arena.locals.len());
             arena.locals.extend(local.iter().copied());
-            arena.local_ranges.push((local_start, arena.locals.len()));
 
             let remote: BTreeSet<TableId> = request
                 .query
@@ -552,16 +568,16 @@ impl SubsetArena {
                 .copied()
                 .filter(|t| !local.contains(t))
                 .collect();
-            arena
-                .costs
-                .push(ctx.model.plan_cost(ctx.catalog, &request.query, &remote));
-            let site_start = arena.sites.len();
+            let site_start = arena_offset(arena.sites.len());
             if !remote.is_empty() {
                 let remote_vec: Vec<TableId> = remote.iter().copied().collect();
                 arena.sites.extend(ctx.catalog.sites_spanned(&remote_vec));
             }
-            arena.site_ranges.push((site_start, arena.sites.len()));
-            arena.remote_empty.push(remote.is_empty());
+            arena.slots.push(MaskSlot {
+                locals: (local_start, arena_offset(arena.locals.len())),
+                sites: (site_start, arena_offset(arena.sites.len())),
+                cost: ctx.model.plan_cost(ctx.catalog, &request.query, &remote),
+            });
         }
         arena
     }
@@ -569,14 +585,14 @@ impl SubsetArena {
     /// Number of candidate masks (`2^replicated`).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.local_ranges.len()
+        self.slots.len()
     }
 
     /// `true` only for a degenerate arena with no masks (never produced
     /// by [`SubsetArena::build`], which always has at least mask 0).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.local_ranges.is_empty()
+        self.slots.is_empty()
     }
 
     /// The replicated footprint the masks enumerate.
@@ -588,8 +604,14 @@ impl SubsetArena {
     /// Mask `m`'s local tables, sorted ascending.
     #[must_use]
     pub fn local(&self, mask: usize) -> &[TableId] {
-        let (start, end) = self.local_ranges[mask];
-        &self.locals[start..end]
+        let (start, end) = self.slots[mask].locals;
+        &self.locals[start as usize..end as usize]
+    }
+
+    /// Mask `m`'s spanned remote sites, ascending.
+    fn sites(&self, mask: usize) -> &[SiteId] {
+        let (start, end) = self.slots[mask].sites;
+        &self.sites[start as usize..end as usize]
     }
 
     /// Scores mask `m` released at `execute_at` — the allocation-free
@@ -603,16 +625,46 @@ impl SubsetArena {
         execute_at: SimTime,
         mask: usize,
     ) -> CandidateScore {
-        let (start, end) = self.site_ranges[mask];
         score_candidate(
             ctx,
             request,
             execute_at,
             self.local(mask),
-            self.remote_empty[mask],
-            &self.sites[start..end],
-            self.costs[mask],
+            self.sites(mask),
+            self.slots[mask].cost,
         )
+    }
+
+    /// A compact copy holding only `masks`, renumbered in the given
+    /// order: mask `i` of the copy is `masks[i]` of `self`, with the same
+    /// local tables, sites and cost, so it scores bit-identically. The
+    /// plan cache keeps each entry's 1–3 champions this way instead of
+    /// the full `2^r` arena. The copy's mask numbers no longer encode
+    /// subsets of [`replicated`](Self::replicated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mask is out of range.
+    #[must_use]
+    pub fn retain_masks(&self, masks: &[usize]) -> SubsetArena {
+        let mut kept = SubsetArena {
+            replicated: self.replicated.clone(),
+            locals: Vec::with_capacity(masks.iter().map(|&m| self.local(m).len()).sum()),
+            sites: Vec::with_capacity(masks.iter().map(|&m| self.sites(m).len()).sum()),
+            slots: Vec::with_capacity(masks.len()),
+        };
+        for &mask in masks {
+            let local_start = arena_offset(kept.locals.len());
+            kept.locals.extend_from_slice(self.local(mask));
+            let site_start = arena_offset(kept.sites.len());
+            kept.sites.extend_from_slice(self.sites(mask));
+            kept.slots.push(MaskSlot {
+                locals: (local_start, arena_offset(kept.locals.len())),
+                sites: (site_start, arena_offset(kept.sites.len())),
+                cost: self.slots[mask].cost,
+            });
+        }
+        kept
     }
 
     /// Materializes the winning `(mask, score)` pair into the
@@ -685,15 +737,7 @@ pub fn evaluate_plan(
         let remote_vec: Vec<TableId> = remote.iter().copied().collect();
         ctx.catalog.sites_spanned(&remote_vec).into_iter().collect()
     };
-    let score = score_candidate(
-        ctx,
-        request,
-        execute_at,
-        &local_vec,
-        remote.is_empty(),
-        &sites,
-        cost,
-    );
+    let score = score_candidate(ctx, request, execute_at, &local_vec, &sites, cost);
     Ok(score.into_evaluation(request.id(), local.clone()))
 }
 
@@ -942,6 +986,80 @@ mod tests {
             degraded.best.information_value <= nominal.best.information_value,
             "outage must not improve IV"
         );
+    }
+
+    /// Every mask of a compacted arena scores bit-identically to the mask
+    /// it was copied from, at random release times, against busy queues
+    /// and stochastic timelines.
+    #[test]
+    fn retained_masks_score_like_their_source() {
+        use ivdss_costmodel::model::AnalyticCostModel;
+        use ivdss_simkernel::rng::{Stream, UniformStream};
+
+        let base = synthetic_catalog(&SyntheticConfig {
+            tables: 7,
+            sites: 3,
+            replicated_tables: 0,
+            seed: 11,
+            ..SyntheticConfig::default()
+        })
+        .unwrap();
+        let mut plan = ReplicationPlan::new();
+        for (i, period) in [3.0, 5.0, 7.0, 4.0, 9.0, 6.0].into_iter().enumerate() {
+            plan.add(t(i as u32), ReplicaSpec::new(period));
+        }
+        let catalog = base.with_replication(plan).unwrap();
+        let timelines = SyncTimelines::from_plan(
+            catalog.replication(),
+            SyncMode::Stochastic {
+                horizon: SimTime::new(200.0),
+                seed: 3,
+            },
+        );
+        let model = AnalyticCostModel::default();
+        let mut queues = FacilityQueues::new(catalog.site_count());
+        queues
+            .local_mut()
+            .book(SimTime::new(12.0), SimDuration::new(4.0));
+        queues
+            .remote_mut(catalog.site_of(t(6)))
+            .book(SimTime::new(10.0), SimDuration::new(9.0));
+        let ctx = PlanContext {
+            catalog: &catalog,
+            timelines: &timelines,
+            model: &model,
+            rates: DiscountRates::paper_fig4(),
+            queues: &queues,
+        };
+        let req = QueryRequest::new(
+            QuerySpec::new(QueryId::new(4), (0..7).map(t).collect()),
+            SimTime::new(10.0),
+        );
+        let replicated: Vec<TableId> = (0..6).map(t).collect();
+        let arena = SubsetArena::build(&ctx, &req, &replicated);
+        assert_eq!(arena.len(), 64);
+
+        let mut draw = UniformStream::new(0.0, 1.0, 17);
+        for _ in 0..8 {
+            let masks: Vec<usize> = (0..1 + (draw.next_sample() * 4.0) as usize)
+                .map(|_| (draw.next_sample() * 64.0) as usize)
+                .collect();
+            let kept = arena.retain_masks(&masks);
+            assert_eq!(kept.len(), masks.len());
+            assert_eq!(kept.replicated(), arena.replicated());
+            for _ in 0..6 {
+                let at = SimTime::new(10.0 + draw.next_sample() * 40.0);
+                for (i, &mask) in masks.iter().enumerate() {
+                    assert_eq!(kept.local(i), arena.local(mask));
+                    let score = kept.score(&ctx, &req, at, i);
+                    assert_eq!(score, arena.score(&ctx, &req, at, mask));
+                    assert_eq!(
+                        kept.evaluation(&req, i, score),
+                        arena.evaluation(&req, mask, score)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

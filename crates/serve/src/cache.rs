@@ -34,19 +34,34 @@
 //! Invalidation driven by [`SyncEvent`]s is thus garbage collection, not
 //! correctness: it evicts entries whose window has closed.
 //!
-//! The cache assumes a fixed catalog and cost model; do not share one
-//! cache across differently configured engines. Business value is
+//! The cache assumes a fixed catalog and a cost model that depends on
+//! the query only through its footprint and cost profile; do not share
+//! one cache across differently configured engines. Business value is
 //! deliberately *not* in the key — it scales every candidate's IV
 //! equally and never changes the argmax.
 //!
+//! # Hot path
+//!
+//! Both paths score on the allocation-free [`SubsetArena`] kernel, the
+//! one the search itself uses. A miss builds the arena once (one cost
+//! estimate and one site set per local subset), scores every (subset,
+//! release) pair with [`SubsetArena::score`], races the classes with
+//! [`is_better_score`] and materializes only the overall winner. The
+//! entry keeps the champions as a compacted arena
+//! ([`SubsetArena::retain_masks`]) plus the delayed champion's release,
+//! so a hit rescores 1–3 champions and materializes one plan. Scores are
+//! bit-identical to [`evaluate_plan`] (both run the same kernel), which a
+//! differential property test checks against the boxed enumeration.
+//!
 //! [`NoQueues`]: ivdss_core::plan::NoQueues
 //! [`ScatterGatherSearch`]: ivdss_core::search::ScatterGatherSearch
+//! [`evaluate_plan`]: ivdss_core::plan::evaluate_plan
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use ivdss_catalog::ids::TableId;
-use ivdss_core::plan::{evaluate_plan, PlanContext, PlanError, PlanEvaluation, QueryRequest};
-use ivdss_core::search::{is_better, local_subsets, replicated_footprint, DEFAULT_MAX_SYNC_POINTS};
+use ivdss_core::plan::{CandidateScore, PlanContext, PlanEvaluation, QueryRequest, SubsetArena};
+use ivdss_core::search::{is_better_score, replicated_footprint, DEFAULT_MAX_SYNC_POINTS};
 use ivdss_replication::events::SyncEvent;
 use ivdss_replication::timelines::SyncTimelines;
 use ivdss_simkernel::time::SimTime;
@@ -96,6 +111,13 @@ impl PlanCacheKey {
             sync_phase,
         }
     }
+
+    /// The last sync the key recorded for the `idx`-th replicated
+    /// footprint table, `None` if that replica had never synced.
+    fn seen_sync(&self, idx: usize) -> Option<SimTime> {
+        let bits = self.sync_phase[idx];
+        (bits != NEVER_SYNCED).then(|| SimTime::new(f64::from_bits(bits)))
+    }
 }
 
 /// Whether a lookup was answered from the cache.
@@ -107,27 +129,49 @@ pub enum CacheOutcome {
     Miss,
 }
 
-/// One cached candidate: a release policy plus the local replica set.
-#[derive(Debug, Clone, PartialEq)]
-struct Candidate {
-    /// `None` = release immediately at the submit time; `Some(τ)` =
-    /// delayed to the absolute sync point `τ` (valid for every submit
-    /// instant in the entry's window, which `τ` strictly follows).
-    release: Option<SimTime>,
-    local: BTreeSet<TableId>,
-}
-
+/// The per-growth-class champions of one (footprint, sync-phase) key.
 #[derive(Debug, Clone)]
 struct CacheEntry {
     /// Insertion sequence number: this entry's key in
     /// `PlanCache::insertion_order`.
     seq: u64,
-    /// Replicated footprint tables, aligned with `last_syncs`.
-    replicated: Vec<TableId>,
-    /// Last sync time per replicated table when the entry was built.
-    last_syncs: Vec<Option<SimTime>>,
-    /// Per-growth-class champions (1–3 candidates).
-    candidates: Vec<Candidate>,
+    /// The 1–3 champions' local tables, sites and cost estimates:
+    /// champion `i` is mask `i` of this compacted arena, and its
+    /// replicated footprint is aligned with the key's sync phase.
+    champions: SubsetArena,
+    /// The release of the delayed-class champion, which is the last
+    /// champion when present: the absolute sync point `τ` (valid for
+    /// every submit instant in the entry's window, which `τ` strictly
+    /// follows). Every other champion is released at the submit time.
+    delayed: Option<SimTime>,
+}
+
+impl CacheEntry {
+    /// Rescores the champions at `request`'s submit time and
+    /// materializes the winner.
+    fn rescore(&self, ctx: &PlanContext<'_>, request: &QueryRequest) -> PlanEvaluation {
+        let submit = request.submitted_at;
+        let last = self.champions.len() - 1;
+        let mut best = None;
+        for champion in 0..=last {
+            let execute_at = match self.delayed {
+                Some(at) if champion == last => at.max(submit),
+                _ => submit,
+            };
+            let score = self.champions.score(ctx, request, execute_at, champion);
+            race(&mut best, score, champion);
+        }
+        let (score, champion) = best.expect("an entry holds at least the all-remote champion");
+        self.champions.evaluation(request, champion, score)
+    }
+}
+
+/// Keeps `(score, mask)` in `slot` if it beats the incumbent, ranking
+/// exactly as the search does.
+fn race(slot: &mut Option<(CandidateScore, usize)>, score: CandidateScore, mask: usize) {
+    if is_better_score(&score, slot.as_ref().map(|(incumbent, _)| incumbent)) {
+        *slot = Some((score, mask));
+    }
 }
 
 /// A bounded plan cache keyed by (footprint, cost profile, discount
@@ -174,9 +218,9 @@ struct CacheEntry {
 /// );
 ///
 /// let mut cache = PlanCache::new(64);
-/// let (first, outcome) = cache.plan(&ctx, &request)?;
+/// let (first, outcome) = cache.plan(&ctx, &request);
 /// assert_eq!(outcome, CacheOutcome::Miss);
-/// let (second, outcome) = cache.plan(&ctx, &request)?;
+/// let (second, outcome) = cache.plan(&ctx, &request);
 /// assert_eq!(outcome, CacheOutcome::Hit);
 /// // A hit is exactly the scatter-and-gather answer, not an approximation.
 /// assert_eq!(second, first);
@@ -256,83 +300,61 @@ impl PlanCache {
     /// estimator whose answer is state-independent); the cacheability
     /// argument in the module docs does not hold for live queues.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from plan evaluation.
-    ///
     /// [`NoQueues`]: ivdss_core::plan::NoQueues
     pub fn plan(
         &mut self,
         ctx: &PlanContext<'_>,
         request: &QueryRequest,
-    ) -> Result<(PlanEvaluation, CacheOutcome), PlanError> {
+    ) -> (PlanEvaluation, CacheOutcome) {
         let key = PlanCacheKey::for_request(ctx, request);
         if let Some(entry) = self.entries.get(&key) {
-            let mut best: Option<PlanEvaluation> = None;
-            for candidate in &entry.candidates {
-                let execute_at = candidate
-                    .release
-                    .map_or(request.submitted_at, |at| at.max(request.submitted_at));
-                let eval = evaluate_plan(ctx, request, execute_at, &candidate.local)?;
-                if is_better(&eval, best.as_ref()) {
-                    best = Some(eval);
-                }
-            }
-            if let Some(best) = best {
-                self.hits += 1;
-                return Ok((best, CacheOutcome::Hit));
-            }
+            self.hits += 1;
+            return (entry.rescore(ctx, request), CacheOutcome::Hit);
         }
 
-        let (best, mut entry) = Self::populate(ctx, request)?;
+        let (best, mut entry) = Self::populate(ctx, request);
         self.misses += 1;
-        if let Some(existing) = self.entries.get(&key) {
-            entry.seq = existing.seq;
-        } else {
-            while self.entries.len() >= self.capacity {
-                match self.insertion_order.pop_first() {
-                    Some((_, oldest)) => {
-                        self.entries.remove(&oldest);
-                    }
-                    None => break,
+        while self.entries.len() >= self.capacity {
+            match self.insertion_order.pop_first() {
+                Some((_, oldest)) => {
+                    self.entries.remove(&oldest);
                 }
+                None => break,
             }
-            entry.seq = self.next_seq;
-            self.next_seq += 1;
-            self.insertion_order.insert(entry.seq, key.clone());
         }
+        entry.seq = self.next_seq;
+        self.next_seq += 1;
+        self.insertion_order.insert(entry.seq, key.clone());
         self.entries.insert(key, entry);
-        Ok((best, CacheOutcome::Miss))
+        (best, CacheOutcome::Miss)
     }
 
     /// Enumerates the per-class champions for `request` and returns the
     /// overall best plus the cache entry.
-    fn populate(
-        ctx: &PlanContext<'_>,
-        request: &QueryRequest,
-    ) -> Result<(PlanEvaluation, CacheEntry), PlanError> {
+    fn populate(ctx: &PlanContext<'_>, request: &QueryRequest) -> (PlanEvaluation, CacheEntry) {
         let submit = request.submitted_at;
         let replicated = replicated_footprint(ctx, request);
-        let subsets = local_subsets(&replicated);
+        let arena = SubsetArena::build(ctx, request, &replicated);
 
-        // Class "immediate all-remote": always feasible, constant IV
-        // across the window; also the fallback that bounds how far
-        // delaying can pay off.
-        let all_remote = evaluate_plan(ctx, request, submit, &subsets[0])?;
+        // Class "immediate all-remote" (mask 0): always feasible,
+        // constant IV across the window; also the fallback that bounds
+        // how far delaying can pay off.
+        let all_remote = arena.score(ctx, request, submit, 0);
 
         // Class "immediate with local replicas".
-        let mut immediate_local: Option<PlanEvaluation> = None;
-        for local in &subsets[1..] {
-            let eval = evaluate_plan(ctx, request, submit, local)?;
-            if is_better(&eval, immediate_local.as_ref()) {
-                immediate_local = Some(eval);
-            }
+        let mut immediate_local = None;
+        for mask in 1..arena.len() {
+            race(
+                &mut immediate_local,
+                arena.score(ctx, request, submit, mask),
+                mask,
+            );
         }
 
         // Class "delayed to a future sync": enumerate sync points far
         // enough that no candidate which could win for *any* submit
         // instant in the window is missed (see module docs).
-        let mut delayed: Option<PlanEvaluation> = None;
+        let mut delayed = None;
         if !replicated.is_empty() {
             let fallback_ratio =
                 all_remote.information_value.value() / request.business_value.value();
@@ -356,52 +378,32 @@ impl PlanCache {
                 if visited > DEFAULT_MAX_SYNC_POINTS {
                     break;
                 }
-                for local in &subsets[1..] {
-                    let eval = evaluate_plan(ctx, request, sync_at, local)?;
-                    if is_better(&eval, delayed.as_ref()) {
-                        delayed = Some(eval);
-                    }
+                for mask in 1..arena.len() {
+                    race(&mut delayed, arena.score(ctx, request, sync_at, mask), mask);
                 }
                 cursor = sync_at;
             }
         }
 
-        let last_syncs = replicated
-            .iter()
-            .map(|&t| ctx.timelines.last_sync(t, submit))
-            .collect();
-        let mut candidates = vec![Candidate {
-            release: None,
-            local: BTreeSet::new(),
-        }];
-        let mut best = all_remote;
-        if let Some(eval) = immediate_local {
-            candidates.push(Candidate {
-                release: None,
-                local: eval.local_tables.clone(),
-            });
-            if is_better(&eval, Some(&best)) {
-                best = eval;
-            }
+        let mut masks = vec![0];
+        let mut best = Some((all_remote, 0));
+        if let Some((score, mask)) = immediate_local {
+            masks.push(mask);
+            race(&mut best, score, mask);
         }
-        if let Some(eval) = delayed {
-            candidates.push(Candidate {
-                release: Some(eval.execute_at),
-                local: eval.local_tables.clone(),
-            });
-            if is_better(&eval, Some(&best)) {
-                best = eval;
-            }
+        if let Some((score, mask)) = delayed {
+            masks.push(mask);
+            race(&mut best, score, mask);
         }
-        Ok((
-            best,
+        let (score, mask) = best.expect("seeded with the all-remote plan");
+        (
+            arena.evaluation(request, mask, score),
             CacheEntry {
                 seq: 0, // assigned on insertion
-                replicated,
-                last_syncs,
-                candidates,
+                champions: arena.retain_masks(&masks),
+                delayed: delayed.map(|(score, _)| score.execute_at),
             },
-        ))
+        )
     }
 
     /// Evicts every entry whose replicated footprint includes `table` and
@@ -411,7 +413,7 @@ impl PlanCache {
     /// unlike ordinary sync-event GC the eviction is a correctness
     /// matter, not just garbage collection.
     pub fn invalidate_table(&mut self, table: TableId) -> usize {
-        self.evict_where(|entry| entry.replicated.contains(&table))
+        self.evict_where(|_, entry| entry.champions.replicated().contains(&table))
     }
 
     /// Counts entries whose recorded sync phase disagrees with
@@ -422,13 +424,14 @@ impl PlanCache {
     #[must_use]
     pub fn stale_entries(&self, timelines: &SyncTimelines, now: SimTime) -> usize {
         self.entries
-            .values()
-            .filter(|entry| {
+            .iter()
+            .filter(|(key, entry)| {
                 entry
-                    .replicated
+                    .champions
+                    .replicated()
                     .iter()
-                    .zip(&entry.last_syncs)
-                    .any(|(&t, &seen)| timelines.last_sync(t, now) != seen)
+                    .enumerate()
+                    .any(|(idx, &t)| timelines.last_sync(t, now) != key.seen_sync(idx))
             })
             .count()
     }
@@ -441,13 +444,14 @@ impl PlanCache {
         if events.is_empty() || self.entries.is_empty() {
             return 0;
         }
-        self.evict_where(|entry| {
+        self.evict_where(|key, entry| {
             events.iter().any(|event| {
                 entry
-                    .replicated
+                    .champions
+                    .replicated()
                     .iter()
                     .position(|&t| t == event.table)
-                    .is_some_and(|idx| entry.last_syncs[idx].is_none_or(|seen| seen < event.at))
+                    .is_some_and(|idx| key.seen_sync(idx).is_none_or(|seen| seen < event.at))
             })
         })
     }
@@ -457,11 +461,14 @@ impl PlanCache {
     /// keys leave the FIFO order (removed by sequence number, without
     /// hashing), so the survivors keep their order and a tick that evicts
     /// nothing costs one pass over the entries.
-    fn evict_where(&mut self, mut is_stale: impl FnMut(&CacheEntry) -> bool) -> usize {
+    fn evict_where(
+        &mut self,
+        mut is_stale: impl FnMut(&PlanCacheKey, &CacheEntry) -> bool,
+    ) -> usize {
         let before = self.entries.len();
         let order = &mut self.insertion_order;
-        self.entries.retain(|_, entry| {
-            let stale = is_stale(entry);
+        self.entries.retain(|key, entry| {
+            let stale = is_stale(key, entry);
             if stale {
                 order.remove(&entry.seq);
             }
@@ -546,7 +553,7 @@ mod tests {
                             QueryRequest::new(QuerySpec::new(QueryId::new(0), tables), at);
                         let key = PlanCacheKey::for_request(&ctx, &request);
                         let live = fifo.contains(&key);
-                        let (_, outcome) = cache.plan(&ctx, &request).unwrap();
+                        let (_, outcome) = cache.plan(&ctx, &request);
                         prop_assert_eq!(outcome == CacheOutcome::Hit, live);
                         if !live {
                             if fifo.len() == 4 {

@@ -749,6 +749,9 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
     /// Dispatches queued queries while the backlog bound admits them
     /// (or unconditionally when `force` is set).
     fn pump(&mut self, now: SimTime, force: bool) -> Result<Vec<Completion>, PlanError> {
+        // The clock never moves back and every probe or booking happens
+        // at or after it, so bookings already over are dead weight.
+        self.facilities.prune_before(now);
         let mut completed = Vec::new();
         while self.queue.peek().is_some() {
             if !force && self.local_backlog(now) > self.config.dispatch_backlog {
@@ -786,7 +789,7 @@ impl<'a, C: Clock> ServeEngine<'a, C> {
         let mut search_audit: Option<SearchAudit> = None;
         let mut source;
         let planned = if self.config.use_cache {
-            let (eval, outcome) = self.cache.plan(&planning_ctx!(self), &request)?;
+            let (eval, outcome) = self.cache.plan(&planning_ctx!(self), &request);
             let hit = matches!(outcome, CacheOutcome::Hit);
             self.tracer
                 .emit_with(now, || EventKind::CacheLookup { query, hit });

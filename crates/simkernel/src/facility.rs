@@ -274,7 +274,9 @@ mod tests {
 /// after the new window: few when jobs arrive roughly in time order) and
 /// merges with the neighbours the window touches. Neither visits the
 /// intervals already in the past, so a long-running server's per-job
-/// cost stays flat.
+/// cost stays flat, and [`prune_before`](Self::prune_before) lets a
+/// caller whose clock only moves forward drop them, so its memory stays
+/// flat too.
 ///
 /// # Examples
 ///
@@ -298,6 +300,9 @@ pub struct Calendar {
     bookings: Vec<(SimTime, SimTime)>,
     jobs: u64,
     busy_time: SimDuration,
+    /// The latest instant passed to [`prune_before`](Self::prune_before):
+    /// no probe or booking may arrive before it.
+    pruned_before: Option<SimTime>,
 }
 
 impl Calendar {
@@ -321,6 +326,11 @@ impl Calendar {
     #[must_use]
     pub fn probe(&self, arrival: SimTime, service: SimDuration) -> ServiceWindow {
         assert!(!service.is_negative(), "service time must be non-negative");
+        debug_assert!(
+            self.pruned_before.is_none_or(|at| arrival >= at),
+            "probe at {arrival:?} before the pruned instant {:?}",
+            self.pruned_before
+        );
         let first_live = self.bookings.partition_point(|&(_, end)| end <= arrival);
         let mut cursor = arrival;
         for &(start, end) in &self.bookings[first_live..] {
@@ -357,6 +367,36 @@ impl Calendar {
         self.jobs += 1;
         self.busy_time += service;
         window
+    }
+
+    /// Drops the bookings that end strictly before `now`, for a caller
+    /// that will never again probe or book at an arrival before `now`.
+    ///
+    /// Every later probe skips those bookings anyway, so the windows a
+    /// pruned calendar hands out are exactly the unpruned ones. A booking
+    /// that ends *at* `now` is kept: a window booked at `now` merges with
+    /// it, and the merged interval still delays a zero-length probe at
+    /// `now`. The last booking is kept as well, so
+    /// [`horizon`](Self::horizon) stays exact; the job and busy-time
+    /// counters are running totals and are untouched.
+    ///
+    /// Amortized O(log n): the dead prefix is found by binary search and
+    /// drained only once it is at least half the bookings, so each
+    /// booking is moved O(1) times on average.
+    pub fn prune_before(&mut self, now: SimTime) {
+        debug_assert!(
+            self.pruned_before.is_none_or(|at| now >= at),
+            "calendar pruned at {now:?} after {:?}",
+            self.pruned_before
+        );
+        self.pruned_before = Some(now);
+        let dead = self
+            .bookings
+            .partition_point(|&(_, end)| end < now)
+            .min(self.bookings.len().saturating_sub(1));
+        if dead > 0 && 2 * dead >= self.bookings.len() {
+            self.bookings.drain(..dead);
+        }
     }
 
     /// Merges the interval at `inserted` with the neighbours it touches.
@@ -424,6 +464,35 @@ mod calendar_tests {
         assert_eq!(w.finish, SimTime::new(5.0));
         assert_eq!(c.jobs_booked(), 1);
         assert_eq!(c.total_busy_time(), SimDuration::new(2.0));
+    }
+
+    #[test]
+    fn pruning_drops_the_past_but_keeps_horizon_and_boundary() {
+        let mut c = Calendar::new();
+        for start in [0.0, 10.0, 20.0] {
+            c.book(SimTime::new(start), SimDuration::new(5.0));
+        }
+        // [0, 5) and [10, 15) end before 16; the last booking stays.
+        c.prune_before(SimTime::new(16.0));
+        assert_eq!(c.bookings, vec![(SimTime::new(20.0), SimTime::new(25.0))]);
+        assert_eq!(c.jobs_booked(), 3);
+        assert_eq!(c.total_busy_time(), SimDuration::new(15.0));
+        // Everything is over at 30, but the horizon survives.
+        c.prune_before(SimTime::new(30.0));
+        assert_eq!(c.horizon(), SimTime::new(25.0));
+
+        // A booking ending exactly at the pruned instant is kept: a
+        // window booked there merges with it.
+        let mut c = Calendar::new();
+        c.book(SimTime::ZERO, SimDuration::new(5.0));
+        c.book(SimTime::new(40.0), SimDuration::new(1.0));
+        c.prune_before(SimTime::new(5.0));
+        c.book(SimTime::new(5.0), SimDuration::new(2.0));
+        assert_eq!(c.bookings[0], (SimTime::ZERO, SimTime::new(7.0)));
+        assert_eq!(
+            c.probe(SimTime::new(5.0), SimDuration::ZERO).start,
+            SimTime::new(7.0)
+        );
     }
 
     #[test]

@@ -254,4 +254,52 @@ proptest! {
             }
         }
     }
+
+    /// Pruning is invisible to a caller whose clock only moves forward: a
+    /// calendar pruned at every clock step hands out exactly the windows,
+    /// horizon and counters of an unpruned one for bookings and probes at
+    /// or after the clock. The clock often lands exactly on an earlier
+    /// window's finish, where a new booking merges with the window that
+    /// ends there and a zero-length probe sees the merged interval.
+    #[test]
+    fn pruned_calendar_matches_unpruned(
+        steps in prop::collection::vec(
+            ((0u8..5, 0.0..1.0f64), (0u8..3, 0.0..1.0f64, 0.0..1.0f64), 0.0..1.0f64),
+            1..150
+        )
+    ) {
+        let grid = |x: f64, scale: f64| (x * scale).floor();
+        let mut pruned = Calendar::new();
+        let mut full = Calendar::new();
+        let mut windows: Vec<ServiceWindow> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for ((clock_kind, a), (book_kind, b, c), d) in steps {
+            now = match clock_kind {
+                0 => now,
+                1 | 2 if !windows.is_empty() => now.max(pick(&windows, a).finish),
+                3 if !windows.is_empty() => now.max(pick(&windows, a).start),
+                _ => now + SimDuration::new(grid(a, 8.0)),
+            };
+            pruned.prune_before(now);
+            let arrival = match book_kind {
+                // A delayed plan reserving a future window.
+                0 => now + SimDuration::new(grid(b, 30.0)),
+                _ => now,
+            };
+            let (arrival, service) = (arrival, SimDuration::new(grid(c, 6.0)));
+            let w = pruned.book(arrival, service);
+            prop_assert_eq!(w, full.book(arrival, service));
+            windows.push(w);
+
+            prop_assert_eq!(pruned.horizon(), full.horizon());
+            prop_assert_eq!(pruned.jobs_booked(), full.jobs_booked());
+            prop_assert_eq!(pruned.total_busy_time(), full.total_busy_time());
+            let probes = [now, now + SimDuration::new(grid(d, 40.0)), now.max(pick(&windows, d).finish)];
+            for at in probes {
+                for len in [SimDuration::ZERO, SimDuration::new(grid(d, 5.0) + 1.0)] {
+                    prop_assert_eq!(pruned.probe(at, len), full.probe(at, len));
+                }
+            }
+        }
+    }
 }

@@ -35,6 +35,10 @@ cargo test --offline --release -p ivdss-serve --test golden_storage_trace
 echo "==> repo benchmark builds (perfbench is its own cargo workspace)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> repo benchmark smoke run (correctness checks and regime guards)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 1 --seconds 1 --trace 0
+
 echo "==> markdown link check"
 scripts/linkcheck.sh
 
